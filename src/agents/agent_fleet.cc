@@ -6,19 +6,6 @@
 
 namespace mvee {
 
-namespace {
-
-// Non-owning shim so CreateAgent can return unique_ptr uniformly for kNull.
-class NullAgentShim final : public SyncAgent {
- public:
-  void BeforeSyncOp(uint32_t, const void*) override {}
-  void AfterSyncOp(uint32_t, const void*) override {}
-  AgentRole role() const override { return AgentRole::kMaster; }
-  const char* name() const override { return "null"; }
-};
-
-}  // namespace
-
 // The adaptive per-variant handle: resolves the op's route entry, passes the
 // master/slave migration gate, and forwards to the routed runtime's own
 // agent for this variant. A kNull route skips the forward entirely — the
@@ -170,7 +157,7 @@ std::unique_ptr<SyncAgent> AgentFleet::CreateAgent(uint32_t variant_index) {
   }
   switch (kind_) {
     case AgentKind::kNull:
-      return std::make_unique<NullAgentShim>();
+      return std::make_unique<NullAgent>();
     case AgentKind::kTotalOrder:
       return total_order_->CreateAgent(variant_index);
     case AgentKind::kPartialOrder:

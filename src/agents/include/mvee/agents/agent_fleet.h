@@ -47,8 +47,8 @@ class AgentFleet {
   AgentFleet(const AgentFleet&) = delete;
   AgentFleet& operator=(const AgentFleet&) = delete;
 
-  // Creates the agent for `variant_index` (0 = master). For kNull the
-  // process-wide NullAgent is returned via a non-owning wrapper.
+  // Creates the agent for `variant_index` (0 = master). For kNull every
+  // variant gets its own NullAgent.
   std::unique_ptr<SyncAgent> CreateAgent(uint32_t variant_index);
 
   // Excision (docs/DESIGN.md §9): detach `variant`'s replay cursors from

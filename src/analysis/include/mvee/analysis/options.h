@@ -1,7 +1,7 @@
 // Analysis engine knobs.
 //
-// Same baseline-toggle contract as AgentConfig::sharded_recording
-// (MVEE_SHARDED_RECORDING) and friends: the production configuration is the
+// Same baseline-toggle contract as AgentConfig::adaptive_agents
+// (MVEE_ADAPTIVE_AGENTS) and friends: the production configuration is the
 // default, the seed/textbook configuration stays in-binary behind a bool, an
 // environment variable flips the default so whole test suites sweep the
 // baseline without edits, and explicit assignments in code always win.

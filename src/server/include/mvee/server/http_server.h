@@ -31,7 +31,7 @@ namespace mvee {
 // forces the seed's one-at-a-time dispatcher (MVEE_SERVER_EVENT_LOOP=0).
 // The override lets the whole test suite sweep either serving architecture
 // without edits (`MVEE_SERVER_EVENT_LOOP=0 ctest`), mirroring
-// MVEE_SHARDED_RECORDING; explicit assignments in code always win.
+// MVEE_ADAPTIVE_AGENTS; explicit assignments in code always win.
 inline bool DefaultServerEventLoop() {
   const char* env = std::getenv("MVEE_SERVER_EVENT_LOOP");
   return env == nullptr || env[0] != '0';

@@ -20,8 +20,7 @@
 // side). The result is that Push/Peek/Pop/Advance touch no remote cache
 // lines in steady state — the cross-core read-write sharing the paper blames
 // for the simple agents' slowdowns (§4.5) is confined to the empty/full
-// edges. `EnableCursorCaching(false)` restores the rescan-every-op behavior
-// (bench_ring_throughput measures both in one run).
+// edges.
 
 #ifndef MVEE_UTIL_SPSC_RING_H_
 #define MVEE_UTIL_SPSC_RING_H_
@@ -53,22 +52,12 @@ class BroadcastRing {
   BroadcastRing(const BroadcastRing&) = delete;
   BroadcastRing& operator=(const BroadcastRing&) = delete;
 
-  size_t capacity() const { return capacity_; }
-
   // Registers a consumer and returns its id. Must happen before production
   // starts. Not thread-safe (bootstrap-time only).
   size_t RegisterConsumer() {
     assert(consumer_count_ < kMaxConsumers);
     return consumer_count_++;
   }
-
-  size_t consumer_count() const { return consumer_count_; }
-
-  // Bootstrap/bench toggle: when disabled, every operation consults the
-  // authoritative cursors (the pre-Disruptor behavior). Not thread-safe; flip
-  // only before production starts.
-  void EnableCursorCaching(bool enabled) { cursor_caching_ = enabled; }
-  bool cursor_caching() const { return cursor_caching_; }
 
   // Producer side: blocks (spin-waits) until a slot is free, then publishes.
   // Returns the sequence number of the published element.
@@ -100,12 +89,6 @@ class BroadcastRing {
     return true;
   }
 
-  // Consumer side: true if an element is available for `consumer`.
-  bool CanPop(size_t consumer) const {
-    const uint64_t read = cursors_[consumer].read.load(std::memory_order_relaxed);
-    return read < VisibleWriteCursor(consumer, read);
-  }
-
   // Consumer side: spin-waits for the next element and returns a copy.
   T Pop(size_t consumer) {
     auto& cursor = cursors_[consumer];
@@ -120,8 +103,7 @@ class BroadcastRing {
   }
 
   // Consumer side: peeks at the element `offset` ahead of the cursor without
-  // consuming. Returns false if not yet produced. Used by the partial-order
-  // agent's lookahead window.
+  // consuming. Returns false if not yet produced.
   bool Peek(size_t consumer, uint64_t offset, T* out) const {
     const uint64_t read = cursors_[consumer].read.load(std::memory_order_relaxed);
     const uint64_t want = read + offset;
@@ -137,41 +119,6 @@ class BroadcastRing {
   void Advance(size_t consumer) {
     auto& cursor = cursors_[consumer].read;
     cursor.store(cursor.load(std::memory_order_relaxed) + 1, std::memory_order_release);
-  }
-
-  // Consumer side: advances the cursor to `seq` (monotonic CAS-max). Safe
-  // under concurrent advancers, unlike Advance: racing retirers (the
-  // partial-order agent's lock-free retire loop) may publish their advances
-  // out of order, and the max-CAS keeps the cursor monotonic either way.
-  void AdvanceTo(size_t consumer, uint64_t seq) {
-    auto& cursor = cursors_[consumer].read;
-    uint64_t current = cursor.load(std::memory_order_relaxed);
-    while (current < seq &&
-           !cursor.compare_exchange_weak(current, seq, std::memory_order_release,
-                                         std::memory_order_relaxed)) {
-    }
-  }
-
-  // Reads the element at absolute sequence `seq` if it has been produced.
-  // The caller must guarantee `seq` has not been retired (i.e. seq >= the
-  // minimum consumer cursor); within that window slots are stable.
-  bool TryRead(uint64_t seq, T* out) const {
-    if (seq >= write_cursor_.load(std::memory_order_acquire)) {
-      return false;
-    }
-    *out = slots_[seq & mask_];
-    return true;
-  }
-
-  // As above, but gates through `consumer`'s cached write cursor so a hit
-  // stays on the consumer's own cache line. Same retirement caveat; used by
-  // the partial-order agent's window scans.
-  bool TryRead(size_t consumer, uint64_t seq, T* out) const {
-    if (seq >= VisibleWriteCursor(consumer, seq)) {
-      return false;
-    }
-    *out = slots_[seq & mask_];
-    return true;
   }
 
   // Sequence of the next element `consumer` would pop.
@@ -201,10 +148,12 @@ class BroadcastRing {
  private:
   // One line per consumer: `read` is written by the consumer and read by the
   // producer (only on gate refresh); `cached_write` is the consumer's private
-  // lower bound of the producer's write cursor. Threads of one slave variant
-  // may share a consumer id, so the cache is an atomic: the release-store on
-  // refresh hands the producer's publications to sibling threads that later
-  // acquire-load the cached value.
+  // lower bound of the producer's write cursor. Every ring in the tree has
+  // one reading thread per consumer id (the agents' rings are per master
+  // thread, the monitor's per thread set), but the cache stays an atomic
+  // refreshed with release and read with acquire, so a consumer id handed
+  // to another thread inherits the producer's publications without an
+  // extra fence.
   struct alignas(64) ConsumerCursor {
     std::atomic<uint64_t> read{0};
     mutable std::atomic<uint64_t> cached_write{0};
@@ -219,7 +168,7 @@ class BroadcastRing {
   // apparent full ring forces the remote rescan. (`free_until_` cannot
   // overflow: sequences are monotonic 64-bit counts.)
   bool HasSpace(uint64_t seq) {
-    if (cursor_caching_ && seq < free_until_) [[likely]] {
+    if (seq < free_until_) [[likely]] {
       return true;
     }
     free_until_ = MinReadCursor() + capacity_;
@@ -233,18 +182,15 @@ class BroadcastRing {
   // consumer id would otherwise invalidate each other every iteration).
   uint64_t VisibleWriteCursor(size_t consumer, uint64_t want) const {
     const ConsumerCursor& cursor = cursors_[consumer];
-    if (cursor_caching_) [[likely]] {
-      const uint64_t cached = cursor.cached_write.load(std::memory_order_acquire);
-      if (want < cached) [[likely]] {
-        return cached;
-      }
-      const uint64_t fresh = write_cursor_.load(std::memory_order_acquire);
-      if (fresh != cached) {
-        cursor.cached_write.store(fresh, std::memory_order_release);
-      }
-      return fresh;
+    const uint64_t cached = cursor.cached_write.load(std::memory_order_acquire);
+    if (want < cached) [[likely]] {
+      return cached;
     }
-    return write_cursor_.load(std::memory_order_acquire);
+    const uint64_t fresh = write_cursor_.load(std::memory_order_acquire);
+    if (fresh != cached) {
+      cursor.cached_write.store(fresh, std::memory_order_release);
+    }
+    return fresh;
   }
 
   uint64_t MinReadCursor() const {
@@ -280,85 +226,6 @@ class BroadcastRing {
   uint64_t free_until_ = 0;  // first sequence the cached gate would reject
   ConsumerCursor cursors_[kMaxConsumers];
   size_t consumer_count_ = 0;
-  bool cursor_caching_ = true;
-};
-
-// Deterministic merge over per-thread ticketed rings — the REFERENCE MODEL
-// of the sharded recording protocol (docs/DESIGN.md §8), exercised by
-// util_test. The production agents specialize it rather than call it: the
-// TO slave distributes TryPopNext into own-ring fronts plus a next_seq
-// ratchet, and the PO slave replaces AnyUnconsumedBelow with recorded
-// (prev_tid, prev_seq) edges checked against per-thread consumed
-// watermarks (cross-thread slot reads race slot recycling — see
-// partial_order.h). Keep this class in sync with docs/DESIGN.md §8 when the
-// protocol changes.
-//
-// The sharded TO/PO masters record into one ring per master thread; every
-// entry carries a global sequence number drawn from a single fetch_add
-// ticket counter, so the union of the rings is a dense sequence 0,1,2,...
-// Slaves reconstruct the recorded order by merging the rings on those
-// sequences. Two properties make the merge cheap:
-//   - within one ring, sequences are strictly increasing (one master thread
-//     drew its tickets in program order), so per-ring scans stop at the
-//     first too-large sequence;
-//   - the globally-next sequence is always at some ring's front, so the
-//     strict merge never looks past the fronts.
-// `seq_of` extracts the sequence from an entry. Single merging thread per
-// consumer id; concurrent use against rings whose cursors other threads
-// advance inherits the recycling caveat above.
-template <typename T>
-class TicketedRingMerge {
- public:
-  TicketedRingMerge(BroadcastRing<T>* const* rings, size_t ring_count, size_t consumer)
-      : rings_(rings), ring_count_(ring_count), consumer_(consumer) {}
-
-  // Strict merge step: pops the entry with global sequence `seq` if it has
-  // been published (it can only be at a ring front — sequences are dense and
-  // every smaller one has been popped). Returns false when the producing
-  // thread has not pushed it yet. Single merging thread per consumer id.
-  template <typename SeqFn>
-  bool TryPopNext(uint64_t seq, SeqFn&& seq_of, T* out) {
-    for (size_t r = 0; r < ring_count_; ++r) {
-      T front;
-      if (rings_[r]->Peek(consumer_, 0, &front) && seq_of(front) == seq) {
-        rings_[r]->Advance(consumer_);
-        *out = front;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  // Dependence scan (the partial-order slave's lookahead): true if any
-  // unconsumed entry with sequence < `limit` matches `pred`. Entries below a
-  // ring's cursor have been replayed; entries at/after it have not. May
-  // report a spurious match if a cursor advances mid-scan (the slot being
-  // read was retired); callers poll, so the stale answer washes out on the
-  // next pass.
-  template <typename SeqFn, typename PredFn>
-  bool AnyUnconsumedBelow(uint64_t limit, SeqFn&& seq_of, PredFn&& pred) const {
-    for (size_t r = 0; r < ring_count_; ++r) {
-      const BroadcastRing<T>& ring = *rings_[r];
-      for (uint64_t index = ring.ReadCursor(consumer_);; ++index) {
-        T entry;
-        if (!ring.TryRead(consumer_, index, &entry)) {
-          break;  // Nothing more published in this ring.
-        }
-        if (seq_of(entry) >= limit) {
-          break;  // Sequences in one ring only grow.
-        }
-        if (pred(entry)) {
-          return true;
-        }
-      }
-    }
-    return false;
-  }
-
- private:
-  BroadcastRing<T>* const* rings_;
-  size_t ring_count_;
-  size_t consumer_;
 };
 
 }  // namespace mvee

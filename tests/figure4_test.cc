@@ -7,8 +7,8 @@
 // Slave schedule: s2 (thread 1) reaches its critical section on B first,
 // while s1 (thread 0) has not executed anything yet.
 //
-//   Figure 4(a) total-order:   s2 MUST STALL — the global buffer's front
-//                              entry names thread 0 (the red bar).
+//   Figure 4(a) total-order:   s2 MUST STALL — the replay ratchet admits
+//                              thread 0's sequences first (the red bar).
 //   Figure 4(b) partial-order: s2 proceeds — its op depends on no earlier
 //                              op touching B.
 //   Figure 4(c) wall-of-clocks: s2 proceeds — clock cB is at its recorded
@@ -36,18 +36,11 @@ namespace {
 
 struct Figure4Harness {
   explicit Figure4Harness(AgentKind kind, std::chrono::milliseconds deadline,
-                          size_t po_window = 1 << 12, bool sharded_recording = false) {
+                          size_t po_window = 1 << 12) {
     config.num_variants = 2;
     config.max_threads = 2;
     config.replay_deadline = deadline;
     config.po_window = po_window;
-    // Default-pin the paper's literal Figure 4 mechanics: the TO "front
-    // names thread 0" stall and the po_window lookahead are semantics of the
-    // global-buffer baseline. The sharded recording path replaces the
-    // mechanism (per-thread fronts + a sequence ratchet; lookahead bounded
-    // by ring capacity, not po_window — docs/DESIGN.md §8); the tests that
-    // assert mechanism-independent outcomes also run with it on.
-    config.sharded_recording = sharded_recording;
     control.abort_flag = &abort_flag;
     control.on_stall = [this](const std::string&) { stalled.store(true); };
     fleet = std::make_unique<AgentFleet>(kind, config, control);
@@ -128,6 +121,34 @@ struct Figure4Harness {
   PaddedLock slave_lock_a, slave_lock_b;
 };
 
+// PO replay orders only ops whose recorded dependence chains meet, and ops
+// on locks A and B share a chain when the two addresses hash to the same
+// record shard (correct but over-serializing — the same caveat as WoC's
+// clock collisions above). Lock addresses shift run to run, so harnesses
+// are re-allocated (keeping the rejects alive so the addresses actually
+// move) until the two locks provably land in distinct shards.
+struct DistinctShardHarness {
+  DistinctShardHarness(AgentKind kind, std::chrono::milliseconds deadline, size_t po_window) {
+    for (int attempt = 0; attempt < 16 && harness == nullptr; ++attempt) {
+      tries.push_back(std::make_unique<Figure4Harness>(kind, deadline, po_window));
+      Figure4Harness& candidate = *tries.back();
+      // The instrumented sync variable sits at offset 0 of the lock (the
+      // InstrumentedAtomic's value is its first member), so the lock address
+      // is the recorded address.
+      if (PartialOrderRuntime::RecordShardIndex(&candidate.master_lock_a) !=
+          PartialOrderRuntime::RecordShardIndex(&candidate.master_lock_b)) {
+        harness = &candidate;
+      }
+    }
+  }
+
+  std::vector<std::unique_ptr<Figure4Harness>> tries;
+  Figure4Harness* harness = nullptr;
+};
+
+// The sequence ratchet only admits the globally next ticket, so s2 may not
+// run before s1 consumed thread 0's entries: TO's unnecessary stall is a
+// property of the total order itself.
 TEST(Figure4Test, TotalOrderStallsUnrelatedSection) {
   // Short deadline: the expected outcome IS the stall (the figure's red bar);
   // waiting longer would only slow the test down.
@@ -138,21 +159,13 @@ TEST(Figure4Test, TotalOrderStallsUnrelatedSection) {
   EXPECT_TRUE(harness.stalled.load());
 }
 
-// Same red bar under sharded recording: the sequence ratchet only admits the
-// globally next ticket, so s2 still may not run before s1 consumed thread
-// 0's entries — TO's unnecessary stall is a property of the total order, not
-// of the global buffer that used to record it.
-TEST(Figure4Test, TotalOrderStallsUnrelatedSectionShardedRecording) {
-  Figure4Harness harness(AgentKind::kTotalOrder, std::chrono::milliseconds(300),
-                         /*po_window=*/1 << 12, /*sharded_recording=*/true);
-  harness.RecordMasterHistory();
-  EXPECT_FALSE(harness.RunSlaveS2Alone())
-      << "sharded TO replay must not let s2 run before thread 0's sequences";
-  EXPECT_TRUE(harness.stalled.load());
-}
-
+// s2's entries sit in its own per-thread ring, and its recorded dependence
+// edge points at no entry of thread 0.
 TEST(Figure4Test, PartialOrderLetsIndependentSectionProceed) {
-  Figure4Harness harness(AgentKind::kPartialOrder, std::chrono::milliseconds(20000));
+  DistinctShardHarness distinct(AgentKind::kPartialOrder, std::chrono::milliseconds(20000),
+                                /*po_window=*/1 << 12);
+  ASSERT_NE(distinct.harness, nullptr) << "16 consecutive shard collisions (p ~ 512^-16)";
+  Figure4Harness& harness = *distinct.harness;
   harness.RecordMasterHistory();
   EXPECT_TRUE(harness.RunSlaveS2Alone())
       << "PO replay orders only dependent ops; s2's section on B is independent";
@@ -160,57 +173,51 @@ TEST(Figure4Test, PartialOrderLetsIndependentSectionProceed) {
   harness.RunSlaveS1();
 }
 
-// Sharded recording preserves the same independence: s2's entries sit in its
-// own per-thread ring, and its recorded dependence edge points at no entry
-// of thread 0 — PROVIDED locks A and B hash to distinct record shards
-// (a shard collision merges their dependence chains, which is correct but
-// reintroduces exactly the serialization this test asserts away, the same
-// caveat as WoC's clock collisions above). Lock addresses shift run to run,
-// so harnesses are re-allocated (keeping the rejects alive so the addresses
-// actually move) until the two locks provably land in distinct shards.
-TEST(Figure4Test, PartialOrderLetsIndependentSectionProceedShardedRecording) {
-  std::vector<std::unique_ptr<Figure4Harness>> tries;
-  Figure4Harness* harness = nullptr;
-  for (int attempt = 0; attempt < 16 && harness == nullptr; ++attempt) {
-    tries.push_back(std::make_unique<Figure4Harness>(
-        AgentKind::kPartialOrder, std::chrono::milliseconds(20000),
-        /*po_window=*/1 << 12, /*sharded_recording=*/true));
-    Figure4Harness& candidate = *tries.back();
-    // The instrumented sync variable sits at offset 0 of the lock (the
-    // InstrumentedAtomic's value is its first member), so the lock address
-    // is the recorded address.
-    if (PartialOrderRuntime::RecordShardIndex(&candidate.master_lock_a) !=
-        PartialOrderRuntime::RecordShardIndex(&candidate.master_lock_b)) {
-      harness = &candidate;
-    }
-  }
-  ASSERT_NE(harness, nullptr) << "16 consecutive shard collisions (p ~ 512^-16)";
-  harness->RecordMasterHistory();
-  EXPECT_TRUE(harness->RunSlaveS2Alone())
-      << "sharded PO replay orders only dependent ops";
-  EXPECT_FALSE(harness->stalled.load());
-  harness->RunSlaveS1();
-}
-
-// With a lookahead window of 1 the PO agent may not look past the oldest
-// unconsumed entry — thread 0's — so it degenerates to total-order behaviour
-// and stalls s2 exactly like Figure 4(a). (Baseline-only semantics: the
-// sharded path's lookahead is bounded by ring capacity, not po_window.)
-TEST(Figure4Test, PartialOrderWindowOneDegeneratesToTotalOrder) {
-  Figure4Harness harness(AgentKind::kPartialOrder, std::chrono::milliseconds(300),
-                         /*po_window=*/1);
-  harness.RecordMasterHistory();
-  EXPECT_FALSE(harness.RunSlaveS2Alone());
-  EXPECT_TRUE(harness.stalled.load());
-}
-
-// A window of 4 is just wide enough to reach both of s2's entries (the lock
-// CAS at index 2 and the unlock store at index 3), so the independent
-// section proceeds again.
-TEST(Figure4Test, PartialOrderWindowFourSuffices) {
+// po_window bounds how far the master may run ahead of the slowest slave's
+// replayed prefix, and the bound is enforced on the master. With a window
+// of 1, thread 0's lock (ticket 0) is admitted, but its unlock would be
+// ticket 1 — one past the window while the slave has replayed nothing — so
+// the master stalls in the gate until slave s1 replays ticket 0, then
+// finishes.
+TEST(Figure4Test, PartialOrderWindowOneStallsMasterUntilReplay) {
   Figure4Harness harness(AgentKind::kPartialOrder, std::chrono::milliseconds(20000),
-                         /*po_window=*/4);
+                         /*po_window=*/1);
+  std::atomic<bool> master_done{false};
+  std::thread m1([&] {
+    SyncContext context{harness.master.get(), nullptr, 0};
+    ScopedSyncContext scoped(&context);
+    try {
+      harness.master_lock_a.Lock();
+      harness.master_lock_a.Unlock();
+      master_done.store(true);
+    } catch (const VariantKilled&) {
+    }
+  });
+  // Wait (bounded) for the master to reach the gate, then give it 100 ms
+  // in which it must not get past.
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (harness.fleet->StatsSnapshot().record_stalls == 0 && !master_done.load() &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(harness.fleet->StatsSnapshot().record_stalls, 0u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(master_done.load()) << "the unlock ran past the po_window=1 bound";
+  harness.RunSlaveS1();  // Replays ticket 0, opening the window for ticket 1.
+  m1.join();
+  EXPECT_TRUE(master_done.load());
+  EXPECT_FALSE(harness.stalled.load());
+}
+
+// A window of 4 admits the whole four-op master history without a stall,
+// and s2's independent section proceeds as with the default window.
+TEST(Figure4Test, PartialOrderWindowFourSuffices) {
+  DistinctShardHarness distinct(AgentKind::kPartialOrder, std::chrono::milliseconds(20000),
+                                /*po_window=*/4);
+  ASSERT_NE(distinct.harness, nullptr) << "16 consecutive shard collisions (p ~ 512^-16)";
+  Figure4Harness& harness = *distinct.harness;
   harness.RecordMasterHistory();
+  EXPECT_EQ(harness.fleet->StatsSnapshot().record_stalls, 0u);
   EXPECT_TRUE(harness.RunSlaveS2Alone());
   harness.RunSlaveS1();
 }

@@ -120,11 +120,12 @@ TEST(BroadcastRingTest, SingleConsumerFifo) {
   for (int i = 0; i < 5; ++i) {
     ring.Push(i);
   }
+  int front = -1;
   for (int i = 0; i < 5; ++i) {
-    EXPECT_TRUE(ring.CanPop(consumer));
+    EXPECT_TRUE(ring.Peek(consumer, 0, &front));
     EXPECT_EQ(ring.Pop(consumer), i);
   }
-  EXPECT_FALSE(ring.CanPop(consumer));
+  EXPECT_FALSE(ring.Peek(consumer, 0, &front));
 }
 
 TEST(BroadcastRingTest, TryPushFailsWhenFull) {
@@ -184,135 +185,6 @@ TEST(BroadcastRingTest, PeekDoesNotConsume) {
   EXPECT_EQ(value, 8);
 }
 
-TEST(BroadcastRingTest, TryReadAbsoluteSequence) {
-  BroadcastRing<int> ring(8);
-  ring.RegisterConsumer();
-  ring.Push(10);
-  ring.Push(11);
-  int value = 0;
-  EXPECT_TRUE(ring.TryRead(0, &value));
-  EXPECT_EQ(value, 10);
-  EXPECT_TRUE(ring.TryRead(1, &value));
-  EXPECT_EQ(value, 11);
-  EXPECT_FALSE(ring.TryRead(2, &value));
-}
-
-TEST(BroadcastRingTest, AdvanceToIsMonotonicUnderRacingAdvancers) {
-  BroadcastRing<int> ring(8);
-  const size_t consumer = ring.RegisterConsumer();
-  for (int i = 0; i < 6; ++i) {
-    ring.Push(i);
-  }
-  // Out-of-order winners (the PO retire loop's lagging-thread case): the
-  // larger advance lands first, the smaller one must be a no-op.
-  ring.AdvanceTo(consumer, 4);
-  EXPECT_EQ(ring.ReadCursor(consumer), 4u);
-  ring.AdvanceTo(consumer, 2);
-  EXPECT_EQ(ring.ReadCursor(consumer), 4u);
-  ring.AdvanceTo(consumer, 6);
-  EXPECT_EQ(ring.ReadCursor(consumer), 6u);
-  // The producer may now lap the retired slots — exactly `capacity` entries
-  // fit past the advanced cursor.
-  for (int i = 6; i < 14; ++i) {
-    EXPECT_TRUE(ring.TryPush(i));
-  }
-  EXPECT_FALSE(ring.TryPush(99));
-}
-
-TEST(BroadcastRingTest, AdvanceToConcurrentMaxWins) {
-  BroadcastRing<uint64_t> ring(1 << 12);
-  const size_t consumer = ring.RegisterConsumer();
-  for (uint64_t i = 0; i < 4000; ++i) {
-    ring.Push(i);
-  }
-  std::vector<std::thread> advancers;
-  for (int t = 0; t < 4; ++t) {
-    advancers.emplace_back([&, t] {
-      for (uint64_t seq = 1 + t; seq <= 4000; seq += 4) {
-        ring.AdvanceTo(consumer, seq);
-      }
-    });
-  }
-  for (auto& thread : advancers) {
-    thread.join();
-  }
-  EXPECT_EQ(ring.ReadCursor(consumer), 4000u);
-}
-
-// --- TicketedRingMerge (the sharded TO/PO recording merge, docs/DESIGN.md §8) ---
-
-struct TicketEntry {
-  uint64_t seq = 0;
-  uint64_t key = 0;
-};
-
-TEST(TicketedRingMergeTest, StrictMergeReconstructsGlobalOrder) {
-  // Three "master threads" record interleaved tickets into private rings.
-  BroadcastRing<TicketEntry> ring_a(16);
-  BroadcastRing<TicketEntry> ring_b(16);
-  BroadcastRing<TicketEntry> ring_c(16);
-  for (auto* ring : {&ring_a, &ring_b, &ring_c}) {
-    ring->RegisterConsumer();
-  }
-  ring_a.Push({0, 100});
-  ring_b.Push({1, 200});
-  ring_a.Push({2, 100});
-  ring_c.Push({3, 300});
-  ring_b.Push({4, 100});
-
-  BroadcastRing<TicketEntry>* rings[] = {&ring_a, &ring_b, &ring_c};
-  TicketedRingMerge<TicketEntry> merge(rings, 3, 0);
-  const auto seq_of = [](const TicketEntry& e) { return e.seq; };
-
-  TicketEntry out;
-  for (uint64_t seq = 0; seq < 5; ++seq) {
-    ASSERT_TRUE(merge.TryPopNext(seq, seq_of, &out)) << "seq " << seq;
-    EXPECT_EQ(out.seq, seq);
-  }
-  // Sequence 5 has not been produced anywhere.
-  EXPECT_FALSE(merge.TryPopNext(5, seq_of, &out));
-  // A gap (seq 6 pushed, 5 missing) must not be popped out of order.
-  ring_c.Push({6, 300});
-  EXPECT_FALSE(merge.TryPopNext(5, seq_of, &out));
-  ring_a.Push({5, 100});
-  EXPECT_TRUE(merge.TryPopNext(5, seq_of, &out));
-  EXPECT_TRUE(merge.TryPopNext(6, seq_of, &out));
-}
-
-TEST(TicketedRingMergeTest, DependenceScanFindsConflictsBelowLimit) {
-  BroadcastRing<TicketEntry> ring_a(16);
-  BroadcastRing<TicketEntry> ring_b(16);
-  for (auto* ring : {&ring_a, &ring_b}) {
-    ring->RegisterConsumer();
-  }
-  ring_a.Push({0, 100});
-  ring_a.Push({2, 200});
-  ring_b.Push({1, 200});
-  ring_b.Push({3, 100});
-
-  BroadcastRing<TicketEntry>* rings[] = {&ring_a, &ring_b};
-  TicketedRingMerge<TicketEntry> merge(rings, 2, 0);
-  const auto seq_of = [](const TicketEntry& e) { return e.seq; };
-  const auto key_is = [](uint64_t key) {
-    return [key](const TicketEntry& e) { return e.key == key; };
-  };
-
-  // Key 100 at seq 3 conflicts with unconsumed seq 0 in ring_a.
-  EXPECT_TRUE(merge.AnyUnconsumedBelow(3, seq_of, key_is(100)));
-  // Key 300 conflicts with nothing.
-  EXPECT_FALSE(merge.AnyUnconsumedBelow(3, seq_of, key_is(300)));
-  // Consuming ring_a's front (seq 0, key 100) clears the conflict.
-  ring_a.Advance(0);
-  EXPECT_FALSE(merge.AnyUnconsumedBelow(3, seq_of, key_is(100)));
-  // Key 200 still conflicts through both rings (seq 1 and seq 2)...
-  EXPECT_TRUE(merge.AnyUnconsumedBelow(2, seq_of, key_is(200)));
-  // ...until ring_b's front (seq 1) is consumed; entries at/above the limit
-  // are never conflicts, so limit 2 now sees nothing.
-  ring_b.Advance(0);
-  EXPECT_TRUE(merge.AnyUnconsumedBelow(3, seq_of, key_is(200)));
-  EXPECT_FALSE(merge.AnyUnconsumedBelow(2, seq_of, key_is(200)));
-}
-
 TEST(BroadcastRingTest, ConcurrentProducerConsumer) {
   BroadcastRing<uint64_t> ring(64);
   const size_t consumer = ring.RegisterConsumer();
@@ -331,17 +203,12 @@ TEST(BroadcastRingTest, ConcurrentProducerConsumer) {
   producer.join();
 }
 
-// The cached-cursor fast path must be observationally identical to the
-// rescan-every-op ring, so every invariant below runs in both modes.
-class BroadcastRingCachingTest : public ::testing::TestWithParam<bool> {
- protected:
-  bool caching() const { return GetParam(); }
-};
+// The cached gating cursors at the ring's full/empty edges: a stale cache
+// may delay progress but must never admit an overwrite or a premature read.
 
-TEST_P(BroadcastRingCachingTest, WraparoundPastCapacityKeepsFifo) {
+TEST(BroadcastRingTest, WraparoundPastCapacityKeepsFifo) {
   BroadcastRing<uint64_t> ring(8);
   const size_t consumer = ring.RegisterConsumer();
-  ring.EnableCursorCaching(caching());
   // Many times around the ring: every slot is reused repeatedly and the
   // producer gate must track the consumer exactly.
   for (uint64_t i = 0; i < 100; ++i) {
@@ -359,11 +226,10 @@ TEST_P(BroadcastRingCachingTest, WraparoundPastCapacityKeepsFifo) {
   }
 }
 
-TEST_P(BroadcastRingCachingTest, SlowestConsumerGatesProducer) {
+TEST(BroadcastRingTest, SlowestConsumerGatesProducer) {
   BroadcastRing<int> ring(4);
   const size_t fast = ring.RegisterConsumer();
   const size_t slow = ring.RegisterConsumer();
-  ring.EnableCursorCaching(caching());
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(ring.TryPush(i));
   }
@@ -384,10 +250,9 @@ TEST_P(BroadcastRingCachingTest, SlowestConsumerGatesProducer) {
   EXPECT_EQ(ring.Pop(fast), 100);
 }
 
-TEST_P(BroadcastRingCachingTest, PeekLookaheadWindow) {
+TEST(BroadcastRingTest, PeekLookaheadWindow) {
   BroadcastRing<int> ring(8);
   const size_t consumer = ring.RegisterConsumer();
-  ring.EnableCursorCaching(caching());
   for (int i = 0; i < 6; ++i) {
     ring.Push(i);
   }
@@ -411,10 +276,9 @@ TEST_P(BroadcastRingCachingTest, PeekLookaheadWindow) {
   EXPECT_EQ(value, 6);
 }
 
-TEST_P(BroadcastRingCachingTest, TryPushFailsExactlyWhenFull) {
+TEST(BroadcastRingTest, TryPushFailsExactlyWhenFull) {
   BroadcastRing<int> ring(4);
   const size_t consumer = ring.RegisterConsumer();
-  ring.EnableCursorCaching(caching());
   // Warm the producer's cached gate first, so fullness is detected against a
   // stale cache and forces the authoritative rescan.
   for (int round = 0; round < 3; ++round) {
@@ -431,31 +295,12 @@ TEST_P(BroadcastRingCachingTest, TryPushFailsExactlyWhenFull) {
   EXPECT_FALSE(ring.TryPush(99));
 }
 
-TEST_P(BroadcastRingCachingTest, ConsumerAwareTryReadTracksProduction) {
-  BroadcastRing<int> ring(8);
-  const size_t consumer = ring.RegisterConsumer();
-  ring.EnableCursorCaching(caching());
-  int value = -1;
-  EXPECT_FALSE(ring.TryRead(consumer, 0, &value));
-  ring.Push(10);
-  ring.Push(11);
-  EXPECT_TRUE(ring.TryRead(consumer, 0, &value));
-  EXPECT_EQ(value, 10);
-  EXPECT_TRUE(ring.TryRead(consumer, 1, &value));
-  EXPECT_EQ(value, 11);
-  EXPECT_FALSE(ring.TryRead(consumer, 2, &value));
-  ring.Push(12);
-  EXPECT_TRUE(ring.TryRead(consumer, 2, &value));
-  EXPECT_EQ(value, 12);
-}
-
-TEST_P(BroadcastRingCachingTest, ConcurrentBroadcastTwoConsumers) {
+TEST(BroadcastRingTest, ConcurrentBroadcastTwoConsumers) {
   // Tiny capacity maximizes gate refreshes and full/empty edges — the paths
   // where a stale cache would admit an overwrite or a premature read.
   BroadcastRing<uint64_t> ring(16);
   const size_t c0 = ring.RegisterConsumer();
   const size_t c1 = ring.RegisterConsumer();
-  ring.EnableCursorCaching(caching());
   constexpr uint64_t kCount = 20000;
   // Count mismatches instead of asserting inside the threads: an early
   // return there would strand the blocking producer (hang) or destroy a
@@ -479,11 +324,6 @@ TEST_P(BroadcastRingCachingTest, ConcurrentBroadcastTwoConsumers) {
   drainer.join();
   EXPECT_EQ(mismatches.load(), 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(CachingModes, BroadcastRingCachingTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "CachedCursors" : "Uncached";
-                         });
 
 TEST(SampleStatsTest, BasicMoments) {
   SampleStats stats;
