@@ -1,30 +1,35 @@
-// Analysis engine bench: module size x solver x pipeline sweep over the
+// Analysis engine bench: module size x pipeline sweep over the
 // interprocedural corpus (corpus.h), emitting BENCH_analysis.json.
 //
 // Per module row (~10k / ~40k / >=100k MIR instructions) the bench times the
 // full two-stage identification pipeline under each engine:
 //   - steensgaard            unification (DSA-style), near-linear
-//   - andersen-baseline      textbook std::set worklist (fast_solver=0)
 //   - andersen-wave          sparse bitmaps + difference propagation +
-//                            online cycle collapse (fast_solver=1)
-//   - field-sensitive        inclusion solver over (object, field) locs
-// and reports: solve wall time, solution memory, precision (spurious type
-// (iii) marks = marked memops whose source line carries the corpus'
-// "noise:" ground-truth prefix), and plan quality through
-// DeriveAssignmentPlan (how many variables each engine routes to kNull /
-// kTotalOrder / kPartialOrder — precision loss shows up as PO fallback).
+//                            online cycle collapse, field-insensitive
+//   - field-sensitive        the same wave solver over (object, field)
+//                            locations
+// and reports: solve wall time (median of kReps interleaved reps), solution
+// memory, precision (spurious type (iii) marks = marked memops whose source
+// line carries the corpus' "noise:" ground-truth prefix), and plan quality
+// through DeriveAssignmentPlan (how many variables each engine routes to
+// kNull / kTotalOrder / kPartialOrder — precision loss shows up as PO
+// fallback).
 //
-// CI gate: MVEE_BENCH_ANALYSIS_MIN_SPEEDUP fails the run when the wave
-// engine does not beat the baseline Andersen by the given factor on the
-// largest (>=100k instruction) row, or when the two Andersen engines
-// disagree on ANY mark (the speedup must come at exact precision parity;
-// the differential tests prove per-register equality, the bench re-checks
-// the end-to-end reports). 0/unset = report only.
+// The run fails when the field-sensitive report differs from the
+// field-insensitive one on any row: the corpus has only opaque pointer
+// arithmetic, so field sensitivity must change no mark.
+//
+// CI gate: MVEE_BENCH_ANALYSIS_MAX_STEENSGAARD_RATIO fails the run when
+// either Andersen pipeline takes more than the given multiple of the
+// Steensgaard pipeline's median time on the largest (>=100k instruction)
+// row. 0/unset = report only.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <iterator>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -94,22 +99,15 @@ struct EngineRow {
   PlanCounts plan;
 };
 
-template <typename Fn>
-EngineRow MeasureEngine(const InterprocCorpus& corpus, const char* engine, Fn identify) {
-  EngineRow row;
-  row.module = corpus.module.name;
-  row.instructions = corpus.module.InstructionCount();
-  row.engine = engine;
-  const auto start = std::chrono::steady_clock::now();
-  row.report = identify(corpus.module);
-  row.solve_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  row.plan = CountPlan(corpus.module, row.report, corpus.escaping_objects);
-  return row;
+constexpr int kReps = 5;
+
+double MedianSeconds(std::vector<double> seconds) {
+  std::sort(seconds.begin(), seconds.end());
+  return seconds[seconds.size() / 2];
 }
 
-void WriteAnalysisJson(const std::vector<EngineRow>& rows, double largest_speedup,
-                       bool parity_ok) {
+void WriteAnalysisJson(const std::vector<EngineRow>& rows, double wave_ratio,
+                       double field_sensitive_ratio, bool parity_ok) {
   const std::string path = bench::ResolveBenchJsonPath("BENCH_analysis.json");
   std::FILE* file = std::fopen(path.c_str(), "w");
   if (file == nullptr) {
@@ -136,13 +134,14 @@ void WriteAnalysisJson(const std::vector<EngineRow>& rows, double largest_speedu
         row.plan.null_routes, row.plan.total_order, row.plan.partial_order,
         row.plan.per_variable, i + 1 < rows.size() ? "," : "");
   }
-  std::fprintf(file, "  ],\n  \"wave_vs_baseline_speedup\": %.2f,\n", largest_speedup);
+  std::fprintf(file, "  ],\n  \"wave_vs_steensgaard\": %.3f,\n", wave_ratio);
+  std::fprintf(file, "  \"field_sensitive_vs_steensgaard\": %.3f,\n", field_sensitive_ratio);
   std::fprintf(file, "  \"precision_parity\": %s\n}\n", parity_ok ? "true" : "false");
   std::fclose(file);
   std::printf("wrote %s (%zu rows)\n", path.c_str(), rows.size());
 }
 
-// Exact end-to-end agreement between the two Andersen engines.
+// Exact end-to-end agreement between two identification reports.
 bool ReportsMatch(const SyncOpReport& a, const SyncOpReport& b) {
   auto sites_match = [](const std::vector<SyncOpSite>& x, const std::vector<SyncOpSite>& y) {
     if (x.size() != y.size()) {
@@ -165,19 +164,14 @@ bool ReportsMatch(const SyncOpReport& a, const SyncOpReport& b) {
 int main() {
   bench::PrintHeader("Analysis engines: solve time / memory / precision / plan quality");
 
-  // The field-sensitive engine shares the baseline's std::set representation;
-  // above this size it would dominate the sweep's wall time, so it is capped
-  // (and the cap is logged — the row simply has no field-sensitive entry).
-  const size_t field_sensitive_cap = static_cast<size_t>(
-      bench::EnvInt("MVEE_BENCH_ANALYSIS_FS_CAP", 50000));
-
-  double min_speedup = 0.0;
-  if (const char* env = std::getenv("MVEE_BENCH_ANALYSIS_MIN_SPEEDUP")) {
-    min_speedup = std::atof(env);
+  double max_ratio = 0.0;
+  if (const char* env = std::getenv("MVEE_BENCH_ANALYSIS_MAX_STEENSGAARD_RATIO")) {
+    max_ratio = std::atof(env);
   }
 
   std::vector<EngineRow> rows;
-  double largest_speedup = 0.0;
+  double wave_ratio = 0.0;
+  double field_sensitive_ratio = 0.0;
   size_t largest_instructions = 0;
   bool parity_ok = true;
 
@@ -190,7 +184,31 @@ int main() {
     std::printf("%-20s %12s %12s %10s %10s %8s %22s\n", "engine", "solve s", "mem bytes",
                 "type(iii)", "spurious", "iters", "plan null/TO/PO/PVO");
 
-    auto print_row = [&](const EngineRow& row) {
+    using Identify = SyncOpReport (*)(const MirModule&, const SyncOpAnalysisOptions&);
+    const std::pair<const char*, Identify> engines[] = {
+        {"steensgaard", IdentifySyncOps},
+        {"andersen-wave", IdentifySyncOpsAndersen},
+        {"field-sensitive", IdentifySyncOpsFieldSensitive},
+    };
+    // Reps interleave the engines, so host drift during the row lands on
+    // every engine alike.
+    std::vector<EngineRow> engine_rows(std::size(engines));
+    std::vector<std::vector<double>> seconds(std::size(engines));
+    for (int rep = 0; rep < kReps; ++rep) {
+      for (size_t e = 0; e < std::size(engines); ++e) {
+        const auto start = std::chrono::steady_clock::now();
+        engine_rows[e].report = engines[e].second(corpus.module, {});
+        seconds[e].push_back(
+            std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count());
+      }
+    }
+    for (size_t e = 0; e < std::size(engines); ++e) {
+      EngineRow& row = engine_rows[e];
+      row.module = corpus.module.name;
+      row.instructions = instructions;
+      row.engine = engines[e].first;
+      row.solve_seconds = MedianSeconds(seconds[e]);
+      row.plan = CountPlan(corpus.module, row.report, corpus.escaping_objects);
       char plan[64];
       std::snprintf(plan, sizeof(plan), "%zu/%zu/%zu/%zu", row.plan.null_routes,
                     row.plan.total_order, row.plan.partial_order, row.plan.per_variable);
@@ -204,66 +222,42 @@ int main() {
                     row.plan.escaping_thread_local);
       }
       rows.push_back(row);
-    };
+    }
 
-    const EngineRow steensgaard = MeasureEngine(
-        corpus, "steensgaard", [](const MirModule& m) { return IdentifySyncOps(m); });
-    print_row(steensgaard);
-
-    SyncOpAnalysisOptions baseline_options;
-    baseline_options.analysis.fast_solver = false;
-    const EngineRow baseline =
-        MeasureEngine(corpus, "andersen-baseline", [&](const MirModule& m) {
-          return IdentifySyncOpsAndersen(m, baseline_options);
-        });
-    print_row(baseline);
-
-    SyncOpAnalysisOptions fast_options;
-    fast_options.analysis.fast_solver = true;
-    const EngineRow fast = MeasureEngine(corpus, "andersen-wave", [&](const MirModule& m) {
-      return IdentifySyncOpsAndersen(m, fast_options);
-    });
-    print_row(fast);
-
-    if (!ReportsMatch(baseline.report, fast.report)) {
-      std::fprintf(stderr, "FAIL: %s: wave and baseline Andersen reports disagree\n",
+    const EngineRow& steensgaard = engine_rows[0];
+    const EngineRow& wave = engine_rows[1];
+    const EngineRow& sensitive = engine_rows[2];
+    if (!ReportsMatch(wave.report, sensitive.report)) {
+      std::fprintf(stderr,
+                   "FAIL: %s: field-sensitive and field-insensitive reports disagree on a "
+                   "module with only opaque pointer arithmetic\n",
                    spec.module_name);
       parity_ok = false;
     }
-    const double speedup =
-        fast.solve_seconds > 0.0 ? baseline.solve_seconds / fast.solve_seconds : 0.0;
-    std::printf("  wave vs baseline: %.1fx (parity %s)\n", speedup,
-                parity_ok ? "ok" : "BROKEN");
+    const double row_wave_ratio = wave.solve_seconds / steensgaard.solve_seconds;
+    const double row_sensitive_ratio = sensitive.solve_seconds / steensgaard.solve_seconds;
+    std::printf("  vs steensgaard: wave %.3fx, field-sensitive %.3fx (parity %s)\n",
+                row_wave_ratio, row_sensitive_ratio, parity_ok ? "ok" : "BROKEN");
     if (instructions > largest_instructions) {
       largest_instructions = instructions;
-      largest_speedup = speedup;
-    }
-
-    if (instructions <= field_sensitive_cap) {
-      const EngineRow sensitive =
-          MeasureEngine(corpus, "field-sensitive", [](const MirModule& m) {
-            return IdentifySyncOpsFieldSensitive(m);
-          });
-      print_row(sensitive);
-    } else {
-      std::printf("  (field-sensitive skipped above %zu instructions; "
-                  "raise MVEE_BENCH_ANALYSIS_FS_CAP to include it)\n",
-                  field_sensitive_cap);
+      wave_ratio = row_wave_ratio;
+      field_sensitive_ratio = row_sensitive_ratio;
     }
   }
 
-  WriteAnalysisJson(rows, largest_speedup, parity_ok);
+  WriteAnalysisJson(rows, wave_ratio, field_sensitive_ratio, parity_ok);
 
   bool gate_ok = parity_ok;
-  if (min_speedup > 0.0 && largest_speedup < min_speedup) {
+  if (max_ratio > 0.0 && std::max(wave_ratio, field_sensitive_ratio) > max_ratio) {
     std::fprintf(stderr,
-                 "FAIL: wave speedup %.1fx on the %zu-instruction module below "
-                 "required %.1fx\n",
-                 largest_speedup, largest_instructions, min_speedup);
+                 "FAIL: on the %zu-instruction module wave takes %.3fx and field-sensitive "
+                 "%.3fx the Steensgaard pipeline's time; allowed %.3fx\n",
+                 largest_instructions, wave_ratio, field_sensitive_ratio, max_ratio);
     gate_ok = false;
   }
-  std::printf("\nwave vs baseline on largest module (%zu instructions): %.1fx%s\n",
-              largest_instructions, largest_speedup,
-              min_speedup > 0.0 ? (gate_ok ? " (gate ok)" : " (gate FAILED)") : "");
+  std::printf("\nvs steensgaard on largest module (%zu instructions): wave %.3fx, "
+              "field-sensitive %.3fx%s\n",
+              largest_instructions, wave_ratio, field_sensitive_ratio,
+              max_ratio > 0.0 ? (gate_ok ? " (gate ok)" : " (gate FAILED)") : "");
   return gate_ok ? 0 : 1;
 }

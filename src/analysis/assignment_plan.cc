@@ -51,7 +51,7 @@ const char* AssignmentVerdictName(AssignmentVerdict verdict) {
 
 AssignmentPlanReport DeriveAssignmentPlan(const MirModule& module, const SyncOpReport& report,
                                           const AssignmentPlanOptions& options) {
-  AndersenAnalysis points_to(module, options.analysis);
+  AndersenAnalysis points_to(module);
   std::map<int32_t, ObjectFacts> facts;
 
   for (const auto& function : module.functions) {

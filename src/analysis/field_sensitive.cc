@@ -1,9 +1,6 @@
 #include "mvee/analysis/field_sensitive.h"
 
-#include <deque>
 #include <utility>
-
-#include "mvee/analysis/constraints.h"
 
 namespace mvee {
 
@@ -16,177 +13,52 @@ bool LocsMayAlias(const FieldLoc& a, const FieldLoc& b) {
 }
 
 FieldSensitiveAnalysis::FieldSensitiveAnalysis(const MirModule& module) {
-  stats_.solver = "field-sensitive";
-  points_to_.resize(module.register_count);
-  copy_targets_.resize(module.register_count);
-  gep_targets_.resize(module.register_count);
+  ConstraintProgram program = BuildConstraintProgram(module, FieldMode::kSensitive);
+  solution_ = SolveWave(module, program);
+  layout_ = std::move(program.layout);
+}
 
-  std::deque<int32_t> worklist;
-  auto enqueue = [&](int32_t reg) { worklist.push_back(reg); };
-  auto add_copy = [&](int32_t dst, int32_t src) {
-    if (dst >= 0 && src >= 0 && dst != src &&
-        static_cast<size_t>(dst) < points_to_.size() &&
-        static_cast<size_t>(src) < points_to_.size()) {
-      copy_targets_[src].push_back(dst);
-      ++stats_.copy_edges;
-      enqueue(src);
-    }
-  };
-
-  // Indirect-call sites keyed by their function-pointer register; callees
-  // bind on the fly as function objects show up in the fptr's solution
-  // (same on-the-fly call graph as the Andersen engines, at field
-  // granularity — the fptr points at the function object's base field).
-  struct IndirectSite {
-    const MirInst* inst;
-    std::set<int32_t> resolved;  // Callee function indices already bound.
-  };
-  std::vector<IndirectSite> indirect_sites;
-  std::vector<std::vector<size_t>> sites_on_reg(module.register_count);
-  std::vector<std::pair<int32_t, int32_t>> call_copies;
-
-  for (const auto& function : module.functions) {
-    for (const auto& inst : function.instructions) {
-      switch (inst.op) {
-        case MirOp::kAddrOf:
-        case MirOp::kAlloc:
-          // &object and fresh allocations point at the object's base field.
-          ++stats_.constraints;
-          if (points_to_[inst.dst].insert({inst.object, 0}).second) {
-            enqueue(inst.dst);
-          }
-          break;
-        case MirOp::kMov:
-          ++stats_.constraints;
-          add_copy(inst.dst, inst.src);
-          break;
-        case MirOp::kGep:
-          ++stats_.constraints;
-          gep_targets_[inst.src].push_back({inst.dst, inst.field});
-          enqueue(inst.src);
-          break;
-        case MirOp::kCall: {
-          // Direct call: args/params and return/dst are plain copies.
-          ++stats_.constraints;
-          const int32_t callee = (inst.object >= 0 &&
-                                  static_cast<size_t>(inst.object) < module.objects.size())
-                                     ? module.objects[inst.object].function_index
-                                     : -1;
-          if (callee >= 0) {
-            ++stats_.call_edges_resolved;
-            call_copies.clear();
-            AppendCallCopies(module, callee, inst.dst, inst.args, &call_copies);
-            for (const auto& [dst, src] : call_copies) {
-              add_copy(dst, src);
-            }
-          }
-          break;
-        }
-        case MirOp::kIndirectCall:
-          ++stats_.constraints;
-          if (inst.ptr >= 0 && static_cast<size_t>(inst.ptr) < sites_on_reg.size()) {
-            sites_on_reg[inst.ptr].push_back(indirect_sites.size());
-            indirect_sites.push_back({&inst, {}});
-            enqueue(inst.ptr);
-          }
-          break;
-        default:
-          break;
-      }
-    }
+const SparseBitmap& FieldSensitiveAnalysis::Solution(int32_t reg) const {
+  if (reg < 0 || static_cast<size_t>(reg) >= solution_.rep.size()) {
+    return empty_;
   }
+  return solution_.pts[solution_.rep[reg]];
+}
 
-  // Worklist fixpoint over copy, field-select, and call-resolution edges.
-  while (!worklist.empty()) {
-    ++stats_.solver_iterations;
-    const int32_t reg = worklist.front();
-    worklist.pop_front();
+std::vector<FieldLoc> FieldSensitiveAnalysis::PointsTo(int32_t reg) const {
+  std::vector<FieldLoc> locs;
+  Solution(reg).ForEach([&](uint32_t location) {
+    locs.push_back({layout_.ObjectOf(location), layout_.FieldOf(location)});
+  });
+  return locs;  // Location ids ascend in (object, field) order.
+}
 
-    for (int32_t target : copy_targets_[reg]) {
-      bool changed = false;
-      for (const FieldLoc& loc : points_to_[reg]) {
-        changed |= points_to_[target].insert(loc).second;
-      }
-      if (changed) {
-        worklist.push_back(target);
-      }
+void FieldSensitiveAnalysis::AddAliases(int32_t reg, SparseBitmap* mask) const {
+  Solution(reg).ForEach([&](uint32_t location) {
+    const int32_t object = layout_.ObjectOf(location);
+    if (layout_.FieldOf(location) == FieldLoc::kAnyField) {
+      AddObject(object, mask);
+    } else {
+      mask->Insert(location);
+      mask->Insert(layout_.Location(object, LocationLayout::kAnySlot));
     }
+  });
+}
 
-    for (size_t site_index : sites_on_reg[reg]) {
-      IndirectSite& site = indirect_sites[site_index];
-      for (const FieldLoc& loc : points_to_[reg]) {
-        if (loc.object < 0 || static_cast<size_t>(loc.object) >= module.objects.size()) {
-          continue;
-        }
-        const int32_t callee = module.objects[loc.object].function_index;
-        if (callee < 0 || !site.resolved.insert(callee).second) {
-          continue;
-        }
-        ++stats_.call_edges_resolved;
-        call_copies.clear();
-        AppendCallCopies(module, callee, site.inst->dst, site.inst->args, &call_copies);
-        for (const auto& [dst, src] : call_copies) {
-          add_copy(dst, src);
-        }
-      }
-    }
-
-    for (const GepEdge& edge : gep_targets_[reg]) {
-      bool changed = false;
-      for (const FieldLoc& loc : points_to_[reg]) {
-        FieldLoc derived = loc;
-        if (edge.field == FieldLoc::kAnyField || loc.field == FieldLoc::kAnyField) {
-          // Opaque arithmetic, or arithmetic on an already-smeared pointer:
-          // the result may address any field (the SVF conservatism §4.3.1
-          // complains about).
-          derived.field = FieldLoc::kAnyField;
-        } else if (loc.field == 0) {
-          derived.field = edge.field;  // Member select off the object base.
-        } else {
-          // Field-of-field (nested aggregates are not modelled): smear.
-          derived.field = FieldLoc::kAnyField;
-        }
-        changed |= points_to_[edge.target].insert(derived).second;
-      }
-      if (changed) {
-        worklist.push_back(edge.target);
-      }
-    }
-  }
-
-  for (const auto& set : points_to_) {
-    stats_.points_to_bytes += sizeof(set) + set.size() * 64;
+void FieldSensitiveAnalysis::AddObject(int32_t object, SparseBitmap* mask) const {
+  for (int32_t slot = 0; slot < layout_.slots_per_object; ++slot) {
+    mask->Insert(layout_.Location(object, slot));
   }
 }
 
-const std::set<FieldLoc>& FieldSensitiveAnalysis::PointsTo(int32_t reg) const {
-  if (reg < 0 || static_cast<size_t>(reg) >= points_to_.size()) {
-    return empty_;
-  }
-  return points_to_[reg];
+bool FieldSensitiveAnalysis::MayPointInto(int32_t reg, const SparseBitmap& mask) const {
+  return Solution(reg).Intersects(mask);
 }
 
 bool FieldSensitiveAnalysis::MayAlias(int32_t reg_a, int32_t reg_b) const {
-  for (const FieldLoc& a : PointsTo(reg_a)) {
-    for (const FieldLoc& b : PointsTo(reg_b)) {
-      if (LocsMayAlias(a, b)) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-bool FieldSensitiveAnalysis::MayPointInto(int32_t reg,
-                                          const std::set<FieldLoc>& locs) const {
-  for (const FieldLoc& mine : PointsTo(reg)) {
-    for (const FieldLoc& other : locs) {
-      if (LocsMayAlias(mine, other)) {
-        return true;
-      }
-    }
-  }
-  return false;
+  SparseBitmap mask;
+  AddAliases(reg_a, &mask);
+  return MayPointInto(reg_b, mask);
 }
 
 SyncOpReport IdentifySyncOpsFieldSensitive(const MirModule& module,
@@ -196,7 +68,8 @@ SyncOpReport IdentifySyncOpsFieldSensitive(const MirModule& module,
 
   FieldSensitiveAnalysis points_to(module);
   report.stats = points_to.stats();
-  std::set<FieldLoc> sync_locs;
+  // Every location that may alias a sync-variable location.
+  SparseBitmap sync_mask;
 
   // Stage 1: type (i)/(ii) instructions seed the sync-variable locations at
   // field granularity.
@@ -209,9 +82,9 @@ SyncOpReport IdentifySyncOpsFieldSensitive(const MirModule& module,
       auto& bucket = inst.op == MirOp::kLockRmw ? report.type_i : report.type_ii;
       bucket.push_back({function.name, i, inst.source_line, inst.op});
       for (const FieldLoc& loc : points_to.PointsTo(inst.ptr)) {
-        sync_locs.insert(loc);
         report.sync_objects.insert(loc.object);
       }
+      points_to.AddAliases(inst.ptr, &sync_mask);
     }
   }
 
@@ -219,7 +92,7 @@ SyncOpReport IdentifySyncOpsFieldSensitive(const MirModule& module,
   if (options.treat_volatile_as_sync) {
     for (size_t obj = 0; obj < module.objects.size(); ++obj) {
       if (module.objects[obj].is_volatile) {
-        sync_locs.insert({static_cast<int32_t>(obj), FieldLoc::kAnyField});
+        points_to.AddObject(static_cast<int32_t>(obj), &sync_mask);
         report.sync_objects.insert(static_cast<int32_t>(obj));
       }
     }
@@ -233,7 +106,7 @@ SyncOpReport IdentifySyncOpsFieldSensitive(const MirModule& module,
       if (inst.op != MirOp::kLoad && inst.op != MirOp::kStore) {
         continue;
       }
-      if (points_to.MayPointInto(inst.ptr, sync_locs)) {
+      if (points_to.MayPointInto(inst.ptr, sync_mask)) {
         report.type_iii.push_back({function.name, i, inst.source_line, inst.op});
       } else {
         ++report.unmarked_memops;

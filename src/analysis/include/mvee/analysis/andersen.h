@@ -2,22 +2,14 @@
 //
 // The paper's second automation attempt used SVF, "an Andersen-style,
 // subset-based points-to analysis" (§4.3.1), noting it keeps more precision
-// than Steensgaard's unification but is costlier. Cost is exactly why the
-// paper abandoned it at production scale — so this class carries two
-// engines behind AnalysisOptions::fast_solver:
-//
-//   fast_solver = false  the textbook inclusion-constraint worklist over
-//                        std::set (the seed implementation, kept in-binary
-//                        as the measurable baseline);
-//   fast_solver = true   the wave-propagation engine (wave_solver.h):
-//                        sparse bitmaps, difference propagation, online
-//                        cycle collapse.
-//
-// Both engines consume the same ConstraintProgram (constraints.h) — AddrOf,
-// copy, and interprocedural parameter/return flow, with indirect-call
-// targets resolved on the fly from the growing points-to solution — and
-// produce bit-identical solutions; the differential tests in
-// tests/analysis_test.cc prove per-register equality on randomized modules.
+// than Steensgaard's unification but is costlier. Cost is why the paper
+// abandoned it at production scale; this class solves the field-insensitive
+// ConstraintProgram (constraints.h) — AddrOf, copy, and interprocedural
+// parameter/return flow, with indirect-call targets resolved on the fly from
+// the growing solution — on the wave-propagation engine (wave_solver.h):
+// sparse bitmaps, difference propagation, online cycle collapse. The
+// differential tests in tests/analysis_test.cc hold it to the textbook
+// worklist oracle (tests/andersen_oracle.h) per register.
 //
 // The directionality is what distinguishes it from Steensgaard: `p = &x;
 // p = &y; q = &y` does NOT force x into pts(q). The analysis bench compares
@@ -32,7 +24,6 @@
 #include <vector>
 
 #include "mvee/analysis/mir.h"
-#include "mvee/analysis/options.h"
 #include "mvee/analysis/sparse_bitmap.h"
 #include "mvee/analysis/stats.h"
 
@@ -40,7 +31,7 @@ namespace mvee {
 
 class AndersenAnalysis {
  public:
-  explicit AndersenAnalysis(const MirModule& module, const AnalysisOptions& options = {});
+  explicit AndersenAnalysis(const MirModule& module);
 
   // The set of object indices pointer register `reg` may point to,
   // materialized. Convenient for tests; hot paths should use ForEachPointee
@@ -64,13 +55,10 @@ class AndersenAnalysis {
   bool MayPointInto(int32_t reg, const std::set<int32_t>& objects) const;
 
   const AnalysisStats& stats() const { return stats_; }
-  // Back-compat cost metric (pre-AnalysisStats callers).
-  uint64_t solver_iterations() const { return stats_.solver_iterations; }
 
  private:
   // rep_[r] names the constraint node holding r's solution — the wave
-  // engine collapses cycle members onto one node; the baseline maps each
-  // register to itself.
+  // engine collapses cycle members onto one node.
   std::vector<int32_t> rep_;
   std::vector<SparseBitmap> pts_;
   AnalysisStats stats_;
@@ -79,8 +67,7 @@ class AndersenAnalysis {
 // All call-induced def-use copy pairs (dst, src): direct calls resolved
 // statically, indirect calls from the points-to fixpoint. The _Atomic
 // qualifier propagation (atomic_check.cc) walks these like Mov edges.
-std::vector<std::pair<int32_t, int32_t>> ResolveCallCopies(const MirModule& module,
-                                                           const AnalysisOptions& options = {});
+std::vector<std::pair<int32_t, int32_t>> ResolveCallCopies(const MirModule& module);
 
 }  // namespace mvee
 

@@ -72,8 +72,6 @@ struct AssignmentPlanOptions {
   // verdict, but also the most trust placed in the static model. Off maps
   // kThreadLocal to kPerVariableOrder instead (sound under any verdict).
   bool allow_null_routes = true;
-  // Engine knobs for the Andersen run backing the plan (solver selection).
-  AnalysisOptions analysis;
 };
 
 // Derives the plan from `module` using the Andersen points-to (the precise

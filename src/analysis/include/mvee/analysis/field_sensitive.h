@@ -11,12 +11,13 @@
 //    heap-allocated variables are classified as potential aliases of type
 //    (i) and (ii) instruction operands."
 //
-// This analysis is the missing piece the paper left to future work: an
-// inclusion-based solver whose abstract locations are (object, field) pairs,
-// queryable at field granularity for heap objects. A heap node carrying an
-// atomically-updated reference count in field 0 and payload in fields 1..n
-// (the STL refcounting pattern of §5.3) keeps its payload accesses unmarked,
-// where the field-insensitive analyses mark every access to the object.
+// This analysis is the missing piece the paper left to future work: the
+// wave Andersen solver (wave_solver.h) run over (object, field) locations
+// (FieldMode::kSensitive in constraints.h), queryable at field granularity
+// for heap objects. A heap node carrying an atomically-updated reference
+// count in field 0 and payload in fields 1..n (the STL refcounting pattern
+// of §5.3) keeps its payload accesses unmarked, where the field-insensitive
+// analyses mark every access to the object.
 //
 // Opaque pointer arithmetic (kGep with field = -1) collapses the result to
 // the any-field wildcard — exactly the SVF conservatism the paper observed.
@@ -25,11 +26,13 @@
 #define MVEE_ANALYSIS_FIELD_SENSITIVE_H_
 
 #include <cstdint>
-#include <set>
 #include <vector>
 
+#include "mvee/analysis/constraints.h"
 #include "mvee/analysis/mir.h"
+#include "mvee/analysis/sparse_bitmap.h"
 #include "mvee/analysis/syncop_analysis.h"
+#include "mvee/analysis/wave_solver.h"
 
 namespace mvee {
 
@@ -55,27 +58,27 @@ class FieldSensitiveAnalysis {
  public:
   explicit FieldSensitiveAnalysis(const MirModule& module);
 
-  const std::set<FieldLoc>& PointsTo(int32_t reg) const;
+  // The locations pointer register `reg` may point to, ascending.
+  std::vector<FieldLoc> PointsTo(int32_t reg) const;
 
   bool MayAlias(int32_t reg_a, int32_t reg_b) const;
-  // True if some location of `reg` may alias some location in `locs`.
-  bool MayPointInto(int32_t reg, const std::set<FieldLoc>& locs) const;
 
-  const AnalysisStats& stats() const { return stats_; }
-  // Back-compat cost metric (pre-AnalysisStats callers).
-  uint64_t solver_iterations() const { return stats_.solver_iterations; }
+  // Alias masks make "may reg touch any of these locations" one bitmap
+  // intersection: AddAliases grows `mask` by every location that may alias
+  // a location of `reg` (LocsMayAlias), AddObject by every field of
+  // `object`, and MayPointInto tests reg's solution against the mask.
+  void AddAliases(int32_t reg, SparseBitmap* mask) const;
+  void AddObject(int32_t object, SparseBitmap* mask) const;
+  bool MayPointInto(int32_t reg, const SparseBitmap& mask) const;
+
+  const AnalysisStats& stats() const { return solution_.stats; }
 
  private:
-  struct GepEdge {
-    int32_t target;
-    int32_t field;  // kAnyField for opaque arithmetic.
-  };
+  const SparseBitmap& Solution(int32_t reg) const;
 
-  std::vector<std::set<FieldLoc>> points_to_;       // Per register.
-  std::vector<std::vector<int32_t>> copy_targets_;  // Mov edges.
-  std::vector<std::vector<GepEdge>> gep_targets_;   // Field-select edges.
-  AnalysisStats stats_;
-  std::set<FieldLoc> empty_;
+  LocationLayout layout_;
+  WaveSolution solution_;
+  SparseBitmap empty_;
 };
 
 // The two-stage identification of §4.3 at field granularity. Same report

@@ -1,8 +1,8 @@
 // Unified per-analysis cost accounting.
 //
-// Every points-to engine (Steensgaard, baseline Andersen, the wave solver,
-// the field-sensitive solver) fills one AnalysisStats during construction
-// instead of growing ad-hoc per-class getters. The stats ride along in
+// Both points-to engines (Steensgaard and the wave Andersen solver, in
+// either field mode) fill one AnalysisStats during construction instead of
+// growing ad-hoc per-class getters. The stats ride along in
 // SyncOpReport, show up in the Table-3 output, and are what
 // bench_analysis.cc serializes into BENCH_analysis.json — so solver cost is
 // diffable across commits the same way agent throughput is.
@@ -16,13 +16,14 @@
 namespace mvee {
 
 struct AnalysisStats {
-  // Which engine produced the solution ("steensgaard", "andersen-baseline",
-  // "andersen-wave", "field-sensitive").
+  // Which engine produced the solution ("steensgaard", "andersen-wave",
+  // "field-sensitive" for the wave solver's field-sensitive mode).
   std::string solver;
-  // Worklist pops (set-based solvers) / node visits across waves (wave
-  // solver) / unify operations (Steensgaard). The engines' unit of work.
+  // Node visits across waves (wave solver) / unify operations
+  // (Steensgaard). The engines' unit of work.
   uint64_t solver_iterations = 0;
-  // Seed constraints extracted from the module (addr-of + copy + call).
+  // Seed constraints extracted from the module (addr-of + copy + field
+  // select + indirect call).
   uint64_t constraints = 0;
   // Copy-graph edges, including edges added by call resolution.
   uint64_t copy_edges = 0;
@@ -32,7 +33,7 @@ struct AnalysisStats {
   // class unification (Steensgaard).
   uint64_t sccs_collapsed = 0;
   // Memory footprint of the final points-to solution in the engine's native
-  // representation (sets vs sparse bitmaps).
+  // representation (union-find classes vs sparse bitmaps).
   uint64_t points_to_bytes = 0;
 };
 

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "mvee/analysis/mir.h"
-#include "mvee/analysis/options.h"
 #include "mvee/analysis/stats.h"
 
 namespace mvee {
@@ -54,8 +53,6 @@ struct SyncOpReport {
 struct SyncOpAnalysisOptions {
   // §4.3 extension: also treat volatile-qualified objects as sync variables.
   bool treat_volatile_as_sync = false;
-  // Engine knobs (solver selection) for the pipelines that run Andersen.
-  AnalysisOptions analysis;
 };
 
 // Runs both stages on `module` with the Steensgaard (DSA-style) points-to —

@@ -1,11 +1,11 @@
 // Wave-propagation Andersen solver (Hardekopf & Lin, "The Ant and the
-// Grasshopper", adapted).
+// Grasshopper", adapted) — the one inclusion-based points-to engine.
 //
-// The textbook solver (andersen.cc's baseline engine) pops one register at a
-// time and re-inserts its whole points-to set into every successor — on
-// copy cycles (mutually recursive parameter passing, function-pointer rings)
-// it re-propagates the same elements around the cycle once per element, and
-// every insert is a std::set tree walk. This engine removes all three costs:
+// The textbook solver pops one register at a time and re-inserts its whole
+// points-to set into every successor — on copy cycles (mutually recursive
+// parameter passing, function-pointer rings) it re-propagates the same
+// elements around the cycle once per element, and every insert is a
+// std::set tree walk. This engine removes all three costs:
 //
 //   * sparse bitmaps (sparse_bitmap.h): word-parallel set union, ~64x less
 //     memory per element than std::set nodes;
@@ -18,12 +18,17 @@
 //     element; the condensation is then processed in topological order, so
 //     one wave reaches the fixpoint for a fixed graph.
 //
-// Indirect calls are the one graph-growing constraint (MIR has no
-// load/store-deref pointer flow): after every wave, new function objects in
-// pts(fptr) resolve to new parameter/return copy edges, and the loop
-// repeats — the classic on-the-fly call-graph / points-to fixpoint. The
-// solution is bit-identical to the baseline engine's (the differential
-// tests in tests/analysis_test.cc prove it per register).
+// Bits are abstract locations (constraints.h's LocationLayout): object ids
+// in field-insensitive mode, dense (object, field) ids in field-sensitive
+// mode. Field selects are not copies, so they never join an SCC: each
+// wave applies them to its source's delta, and a select that feeds a node
+// the wave already passed costs one more wave. Indirect calls are the
+// graph-growing constraint (MIR has no load/store-deref pointer flow):
+// after every wave, new function objects in pts(fptr) resolve to new
+// parameter/return copy edges, and the loop repeats — the classic
+// on-the-fly call-graph / points-to fixpoint. The differential tests in
+// tests/analysis_test.cc hold the solution to the textbook oracle
+// (tests/andersen_oracle.h) per register in both modes.
 
 #ifndef MVEE_ANALYSIS_WAVE_SOLVER_H_
 #define MVEE_ANALYSIS_WAVE_SOLVER_H_

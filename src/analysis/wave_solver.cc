@@ -137,9 +137,9 @@ WaveSolution SolveWave(const MirModule& module, const ConstraintProgram& program
   const int32_t n = program.reg_count;
   WaveSolution solution;
   AnalysisStats& stats = solution.stats;
-  stats.solver = "andersen-wave";
-  stats.constraints =
-      program.addr_of.size() + program.copies.size() + program.indirect_calls.size();
+  stats.solver = program.mode == FieldMode::kSensitive ? "field-sensitive" : "andersen-wave";
+  stats.constraints = program.addr_of.size() + program.copies.size() +
+                      program.field_selects.size() + program.indirect_calls.size();
   stats.call_edges_resolved = program.direct_call_edges;
 
   UnionFind uf(n);
@@ -148,10 +148,18 @@ WaveSolution SolveWave(const MirModule& module, const ConstraintProgram& program
   // Difference propagation moves only pts[r] - prev[r] per wave.
   std::vector<SparseBitmap> prev(n);
   std::vector<std::vector<int32_t>> succ(n);
+  // Field-select edges (dst, slot) per source node. They are not copies,
+  // so they never join an SCC; they ride along when their source collapses.
+  std::vector<std::vector<std::pair<int32_t, int32_t>>> selects(n);
 
   for (const auto& [dst, object] : program.addr_of) {
     if (dst >= 0 && dst < n && object >= 0) {
       pts[dst].Insert(static_cast<uint32_t>(object));
+    }
+  }
+  for (const FieldSelectConstraint& select : program.field_selects) {
+    if (select.dst >= 0 && select.dst < n && select.src >= 0 && select.src < n) {
+      selects[select.src].emplace_back(select.dst, select.slot);
     }
   }
   for (const auto& [dst, src] : program.copies) {
@@ -164,6 +172,7 @@ WaveSolution SolveWave(const MirModule& module, const ConstraintProgram& program
   // Per indirect call site: the callee set already lowered to edges.
   std::vector<SparseBitmap> resolved(program.indirect_calls.size());
   std::vector<std::pair<int32_t, int32_t>> new_edges;
+  std::vector<int32_t> new_callees;
 
   for (;;) {
     // --- Phase 1: normalize successor lists on live representatives. ---
@@ -206,6 +215,10 @@ WaveSolution SolveWave(const MirModule& module, const ConstraintProgram& program
         merged_edges.insert(merged_edges.end(), succ[member].begin(), succ[member].end());
         succ[member].clear();
         succ[member].shrink_to_fit();
+        selects[rep].insert(selects[rep].end(), selects[member].begin(),
+                            selects[member].end());
+        selects[member].clear();
+        selects[member].shrink_to_fit();
       }
       prev[rep] = SparseBitmap();
       stats.sccs_collapsed += component.size() - 1;
@@ -218,7 +231,9 @@ WaveSolution SolveWave(const MirModule& module, const ConstraintProgram& program
     bool propagated = false;
     for (auto it = components.rbegin(); it != components.rend(); ++it) {
       // Phase 3 only unions within a component, so front() is the live
-      // representative of every component, singleton or collapsed.
+      // representative of every component, singleton or collapsed. A field
+      // select may feed a node this wave already passed; that node's next
+      // wave carries the new locations on.
       const int32_t rep = uf.Find(it->front());
       ++stats.solver_iterations;
       SparseBitmap delta;
@@ -233,6 +248,11 @@ WaveSolution SolveWave(const MirModule& module, const ConstraintProgram& program
           pts[target].UnionWith(delta);
         }
       }
+      for (const auto& [dst, slot] : selects[rep]) {
+        SparseBitmap& target = pts[uf.Find(dst)];
+        delta.ForEach(
+            [&](uint32_t location) { target.Insert(program.layout.Select(location, slot)); });
+      }
     }
 
     // --- Phase 5: on-the-fly call graph — resolve indirect calls. ---
@@ -242,14 +262,20 @@ WaveSolution SolveWave(const MirModule& module, const ConstraintProgram& program
       if (call.fptr < 0 || call.fptr >= n) {
         continue;
       }
-      pts[uf.Find(call.fptr)].ForEach([&](uint32_t object) {
+      // Collect the new callees first: binding one can union into the very
+      // bitmap being walked (an argument flowing back into the fptr's node).
+      new_callees.clear();
+      pts[uf.Find(call.fptr)].ForEach([&](uint32_t location) {
+        const auto object = static_cast<size_t>(program.layout.ObjectOf(location));
         if (object >= program.object_function.size()) {
           return;
         }
         const int32_t callee = program.object_function[object];
-        if (callee < 0 || !resolved[site].Insert(static_cast<uint32_t>(callee))) {
-          return;
+        if (callee >= 0 && resolved[site].Insert(static_cast<uint32_t>(callee))) {
+          new_callees.push_back(callee);
         }
+      });
+      for (const int32_t callee : new_callees) {
         ++stats.call_edges_resolved;
         new_edges.clear();
         AppendCallCopies(module, callee, call.dst, call.args, &new_edges);
@@ -270,7 +296,7 @@ WaveSolution SolveWave(const MirModule& module, const ConstraintProgram& program
           pts[dst_rep].UnionWith(pts[src_rep]);
           grew = true;
         }
-      });
+      }
     }
 
     if (!propagated && !grew) {

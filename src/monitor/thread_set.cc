@@ -880,8 +880,12 @@ void ThreadSetMonitor::HoldFrameForCombiner(RoundSlab& slab, uint32_t variant) {
     // Whole-MVEE shutdown: try to take the open claim ourselves. Winning
     // poisons the round — no opener can ever claim it, so no thread will
     // dereference our frame, and every other arrival unwinds on tripped().
+    // The poisoner names itself executor: a sibling unwinding from the same
+    // round loses this CAS and waits below for the executor's drain, which
+    // follows right after we return.
     uint32_t expect = 0;
     if (slab.open_claim.compare_exchange_strong(expect, 1, std::memory_order_acq_rel)) {
+      slab.executor.store(variant, std::memory_order_release);
       return;
     }
   } else if (slab.open_claim.load(std::memory_order_acquire) == 0) {

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 
+#include "andersen_oracle.h"
 #include "mvee/analysis/andersen.h"
 #include "mvee/analysis/assignment_plan.h"
 #include "mvee/analysis/atomic_check.h"
@@ -424,13 +425,9 @@ TEST(InterprocTest, DirectCallBindsArgsAndReturn) {
   builder.Call(ret, builder.FunctionObject(callee), {arg});
   const MirModule module = builder.Build();
 
-  for (const bool fast : {false, true}) {
-    AnalysisOptions options;
-    options.fast_solver = fast;
-    const AndersenAnalysis andersen(module, options);
-    EXPECT_EQ(andersen.PointsTo(param), std::set<int32_t>{x}) << "fast=" << fast;
-    EXPECT_EQ(andersen.PointsTo(ret), std::set<int32_t>{x}) << "fast=" << fast;
-  }
+  const AndersenAnalysis andersen(module);
+  EXPECT_EQ(andersen.PointsTo(param), std::set<int32_t>{x});
+  EXPECT_EQ(andersen.PointsTo(ret), std::set<int32_t>{x});
   const PointsToAnalysis steensgaard(module);
   EXPECT_EQ(steensgaard.PointsTo(param), std::set<int32_t>{x});
   EXPECT_EQ(steensgaard.PointsTo(ret), std::set<int32_t>{x});
@@ -453,13 +450,9 @@ TEST(InterprocTest, IndirectCallResolvedThroughPointsTo) {
   builder.CallIndirect(-1, fptr, {arg});
   const MirModule module = builder.Build();
 
-  for (const bool fast : {false, true}) {
-    AnalysisOptions options;
-    options.fast_solver = fast;
-    const AndersenAnalysis andersen(module, options);
-    EXPECT_EQ(andersen.PointsTo(f_param), std::set<int32_t>{x}) << "fast=" << fast;
-    EXPECT_EQ(andersen.PointsTo(g_param), std::set<int32_t>{x}) << "fast=" << fast;
-  }
+  const AndersenAnalysis andersen(module);
+  EXPECT_EQ(andersen.PointsTo(f_param), std::set<int32_t>{x});
+  EXPECT_EQ(andersen.PointsTo(g_param), std::set<int32_t>{x});
   const PointsToAnalysis steensgaard(module);
   EXPECT_TRUE(steensgaard.PointsTo(f_param).count(x));
   EXPECT_TRUE(steensgaard.PointsTo(g_param).count(x));
@@ -489,12 +482,8 @@ TEST(InterprocTest, CallGraphPointsToFixpoint) {
   builder.CallIndirect(-1, fptr, {arg});  // Callee (g) known only post-solve.
   const MirModule module = builder.Build();
 
-  for (const bool fast : {false, true}) {
-    AnalysisOptions options;
-    options.fast_solver = fast;
-    const AndersenAnalysis andersen(module, options);
-    EXPECT_EQ(andersen.PointsTo(g_param), std::set<int32_t>{x}) << "fast=" << fast;
-  }
+  const AndersenAnalysis andersen(module);
+  EXPECT_EQ(andersen.PointsTo(g_param), std::set<int32_t>{x});
   const PointsToAnalysis steensgaard(module);
   EXPECT_TRUE(steensgaard.PointsTo(g_param).count(x));
 }
@@ -628,10 +617,13 @@ TEST(InterprocCorpusTest, AndersenKeepsConflatedNoiseUnmarked) {
   EXPECT_GE(spurious(IdentifySyncOps(corpus.module)), spec.conflated_noise);
 }
 
-// --- Differential property tests: fast == baseline, Andersen <= Steensgaard
+// --- Differential property tests: wave == textbook oracle (both field
+// modes), Andersen <= Steensgaard
 
-// Randomized module with pointer chains, direct/indirect calls, params and
-// returns. Deterministic per seed; failures below print the seed.
+// Randomized module with pointer chains, field selects (including
+// field-of-field and opaque arithmetic after a field select), direct and
+// indirect calls, params and returns. Deterministic per seed; failures below
+// print the seed.
 MirModule BuildRandomModule(uint64_t seed) {
   Rng rng(seed);
   MirBuilder builder("random_" + std::to_string(seed));
@@ -670,7 +662,7 @@ MirModule BuildRandomModule(uint64_t seed) {
     };
     const size_t inst_count = 5 + rng.NextBelow(20);
     for (size_t i = 0; i < inst_count; ++i) {
-      switch (rng.NextBelow(8)) {
+      switch (rng.NextBelow(9)) {
         case 0:
           builder.AddrOf(any_reg(), objects[rng.NextBelow(objects.size())]);
           break;
@@ -716,6 +708,21 @@ MirModule BuildRandomModule(uint64_t seed) {
           builder.CallIndirect(-1, fptr, std::move(args));
           break;
         }
+        case 7: {  // Field select, then maybe a second select off the result.
+          const int32_t member = any_reg();
+          builder.GepField(member, any_reg(), static_cast<int32_t>(rng.NextBelow(4)));
+          switch (rng.NextBelow(3)) {
+            case 0:  // Field-of-field.
+              builder.GepField(any_reg(), member, static_cast<int32_t>(rng.NextBelow(4)));
+              break;
+            case 1:  // Opaque arithmetic after a field select.
+              builder.Gep(any_reg(), member);
+              break;
+            default:
+              break;
+          }
+          break;
+        }
         default:
           builder.Alloc(any_reg(), objects[rng.NextBelow(objects.size())]);
           break;
@@ -728,20 +735,38 @@ MirModule BuildRandomModule(uint64_t seed) {
   return builder.Build();
 }
 
-TEST(DifferentialTest, FastAndersenMatchesBaselineExactly) {
+TEST(DifferentialTest, WaveAndersenMatchesOracleExactly) {
   for (uint64_t seed = 1; seed <= 60; ++seed) {
     const MirModule module = BuildRandomModule(seed);
-    AnalysisOptions baseline_options;
-    baseline_options.fast_solver = false;
-    AnalysisOptions fast_options;
-    fast_options.fast_solver = true;
-    const AndersenAnalysis baseline(module, baseline_options);
-    const AndersenAnalysis fast(module, fast_options);
+    const oracle::OracleSolution expected = oracle::SolveOracle(module, /*gep_as_copy=*/true);
+    const AndersenAnalysis wave(module);
     for (int32_t reg = 0; reg < module.register_count; ++reg) {
-      ASSERT_EQ(fast.PointsToSorted(reg), baseline.PointsToSorted(reg))
+      ASSERT_EQ(wave.PointsToSorted(reg), expected.Objects(reg))
           << "solutions diverge at r" << reg << "; reproduce with seed=" << seed;
     }
   }
+}
+
+TEST(DifferentialTest, FieldSensitiveWaveMatchesOracleExactly) {
+  size_t smeared = 0;
+  size_t selected = 0;
+  for (uint64_t seed = 1; seed <= 80; ++seed) {
+    const MirModule module = BuildRandomModule(seed);
+    const oracle::OracleSolution expected = oracle::SolveOracle(module, /*gep_as_copy=*/false);
+    const FieldSensitiveAnalysis wave(module);
+    for (int32_t reg = 0; reg < module.register_count; ++reg) {
+      const std::vector<FieldLoc> locs = expected.Locs(reg);
+      ASSERT_EQ(wave.PointsTo(reg), locs)
+          << "solutions diverge at r" << reg << "; reproduce with seed=" << seed;
+      for (const FieldLoc& loc : locs) {
+        smeared += loc.field == FieldLoc::kAnyField ? 1 : 0;
+        selected += loc.field > 0 ? 1 : 0;
+      }
+    }
+  }
+  // The seeds must exercise both smear outcomes, or the test proves little.
+  EXPECT_GT(smeared, 0u);
+  EXPECT_GT(selected, 0u);
 }
 
 TEST(DifferentialTest, AndersenIsSubsetOfSteensgaard) {
@@ -762,23 +787,73 @@ TEST(DifferentialTest, AndersenIsSubsetOfSteensgaard) {
   }
 }
 
-TEST(DifferentialTest, PipelinesAgreeAcrossSolversOnReports) {
-  // End-to-end: the full two-stage report is identical under both Andersen
-  // engines (site lists, sync objects, unmarked counts).
-  for (uint64_t seed = 100; seed <= 110; ++seed) {
+// The two-stage identification recomputed from an oracle solution: the
+// indices of the loads/stores the pipeline must mark, given which oracle
+// locations alias (objects alone when field-insensitive).
+struct OracleMarks {
+  std::set<int32_t> sync_objects;
+  std::vector<size_t> type_iii;
+  size_t unmarked = 0;
+};
+
+OracleMarks MarksFromOracle(const MirModule& module, const oracle::OracleSolution& solution,
+                            bool field_sensitive) {
+  OracleMarks marks;
+  std::vector<FieldLoc> sync_locs;
+  for (const auto& function : module.functions) {
+    for (const auto& inst : function.instructions) {
+      if (inst.op == MirOp::kLockRmw || inst.op == MirOp::kXchg) {
+        for (const FieldLoc& loc : solution.points_to[inst.ptr]) {
+          marks.sync_objects.insert(loc.object);
+          sync_locs.push_back(loc);
+        }
+      }
+    }
+  }
+  for (const auto& function : module.functions) {
+    for (size_t i = 0; i < function.instructions.size(); ++i) {
+      const MirInst& inst = function.instructions[i];
+      if (inst.op != MirOp::kLoad && inst.op != MirOp::kStore) {
+        continue;
+      }
+      bool marked = false;
+      for (const FieldLoc& loc : solution.points_to[inst.ptr]) {
+        for (const FieldLoc& sync : sync_locs) {
+          marked |= field_sensitive ? LocsMayAlias(loc, sync) : loc.object == sync.object;
+        }
+      }
+      if (marked) {
+        marks.type_iii.push_back(i);
+      } else {
+        ++marks.unmarked;
+      }
+    }
+  }
+  return marks;
+}
+
+TEST(DifferentialTest, PipelinesMatchOracleReports) {
+  // End-to-end: the full two-stage reports of both Andersen pipelines equal
+  // the ones the oracle's solutions imply (sync objects, marked site
+  // indices in module order, unmarked counts).
+  for (uint64_t seed = 100; seed <= 130; ++seed) {
     const MirModule module = BuildRandomModule(seed);
-    SyncOpAnalysisOptions baseline_options;
-    baseline_options.analysis.fast_solver = false;
-    SyncOpAnalysisOptions fast_options;
-    fast_options.analysis.fast_solver = true;
-    const SyncOpReport baseline = IdentifySyncOpsAndersen(module, baseline_options);
-    const SyncOpReport fast = IdentifySyncOpsAndersen(module, fast_options);
-    ASSERT_EQ(fast.sync_objects, baseline.sync_objects) << "seed=" << seed;
-    ASSERT_EQ(fast.type_iii.size(), baseline.type_iii.size()) << "seed=" << seed;
-    ASSERT_EQ(fast.unmarked_memops, baseline.unmarked_memops) << "seed=" << seed;
-    for (size_t i = 0; i < fast.type_iii.size(); ++i) {
-      ASSERT_EQ(fast.type_iii[i].instruction_index, baseline.type_iii[i].instruction_index)
-          << "seed=" << seed;
+    for (const bool field_sensitive : {false, true}) {
+      const OracleMarks expected = MarksFromOracle(
+          module, oracle::SolveOracle(module, /*gep_as_copy=*/!field_sensitive),
+          field_sensitive);
+      const SyncOpReport report = field_sensitive ? IdentifySyncOpsFieldSensitive(module)
+                                                  : IdentifySyncOpsAndersen(module);
+      std::vector<size_t> marked;
+      for (const SyncOpSite& site : report.type_iii) {
+        marked.push_back(site.instruction_index);
+      }
+      ASSERT_EQ(report.sync_objects, expected.sync_objects)
+          << "seed=" << seed << " field_sensitive=" << field_sensitive;
+      ASSERT_EQ(marked, expected.type_iii)
+          << "seed=" << seed << " field_sensitive=" << field_sensitive;
+      ASSERT_EQ(report.unmarked_memops, expected.unmarked)
+          << "seed=" << seed << " field_sensitive=" << field_sensitive;
     }
   }
 }
@@ -788,19 +863,13 @@ TEST(StatsTest, ReportsCarrySolverStats) {
   const SyncOpReport steensgaard = IdentifySyncOps(module);
   EXPECT_EQ(steensgaard.stats.solver, "steensgaard");
   EXPECT_GT(steensgaard.stats.constraints, 0u);
-  // Pin both Andersen engines explicitly — the default follows
-  // MVEE_ANALYSIS_FAST_SOLVER, which the CI sweep flips.
-  SyncOpAnalysisOptions wave_options;
-  wave_options.analysis.fast_solver = true;
-  const SyncOpReport wave = IdentifySyncOpsAndersen(module, wave_options);
+  const SyncOpReport wave = IdentifySyncOpsAndersen(module);
   EXPECT_EQ(wave.stats.solver, "andersen-wave");
-  SyncOpAnalysisOptions baseline_options;
-  baseline_options.analysis.fast_solver = false;
-  const SyncOpReport baseline = IdentifySyncOpsAndersen(module, baseline_options);
-  EXPECT_EQ(baseline.stats.solver, "andersen-baseline");
-  EXPECT_GT(baseline.stats.points_to_bytes, 0u);
+  EXPECT_GT(wave.stats.constraints, 0u);
+  EXPECT_GT(wave.stats.points_to_bytes, 0u);
   const SyncOpReport sensitive = IdentifySyncOpsFieldSensitive(module);
   EXPECT_EQ(sensitive.stats.solver, "field-sensitive");
+  EXPECT_GT(sensitive.stats.points_to_bytes, 0u);
 }
 
 }  // namespace

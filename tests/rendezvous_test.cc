@@ -362,11 +362,22 @@ TEST(ComparableDigestMemoTest, UnprimedRecomputesPrimedFreezes) {
 
 // --- Zero allocations on the hot path --------------------------------------------
 
+// The counter is process-wide, so every thread of the run must be quiet
+// during the window. The blocked-call watchdog is not: its first sweep (one
+// tick, blocked_call_timeout / 8, after Run starts) allocates its watch-list
+// and map nodes, and on a loaded host the run stretches past that tick.
+// The allocation tests therefore run without it.
+MveeOptions AllocationOpts() {
+  MveeOptions options = Opts();
+  options.blocked_call_timeout = std::chrono::milliseconds(0);
+  return options;
+}
+
 // Lockstep + slab: after warmup (slab payload pools sized, fd table built),
 // a replicated-read storm must not allocate at all — the payload lives in
 // the slab's pooled arena and slaves copy spans, not vectors.
 TEST(RendezvousAllocationTest, LockstepReplicatedReadHotPathIsAllocationFree) {
-  MveeOptions options = Opts();
+  MveeOptions options = AllocationOpts();
   Mvee mvee(options);
   mvee.kernel().vfs().PutFile("blob", std::vector<uint8_t>(64, 0xab));
   std::atomic<uint64_t> allocations{0};
@@ -429,7 +440,7 @@ TEST(RendezvousAllocationTest, DisarmedFaultSitesAreFree) {
 // Loose mode: the ring's pooled records (no shared_ptr churn) and pooled
 // payloads make the leader/follower steady state allocation-free too.
 TEST(RendezvousAllocationTest, LooseHotPathIsAllocationFree) {
-  MveeOptions options = Opts();
+  MveeOptions options = AllocationOpts();
   options.sync_model = SyncModel::kLoose;
   options.loose_buffer_depth = 8;  // Small pool: warmup touches every record.
   Mvee mvee(options);
