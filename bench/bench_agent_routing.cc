@@ -1,10 +1,12 @@
-// Adaptive per-variable agent ablation (docs/DESIGN.md §11).
+// Per-variable agent routing ablation (docs/DESIGN.md §11).
 //
-// One mixed-contention kernel, run seven ways:
-//   - four fixed fleets (TO / PO / WoC / PVO — every variable on one agent),
-//   - the adaptive fleet seeded by the analysis-derived oracle plan
-//     (controller off: pure static routing),
-//   - the adaptive fleet deliberately misseeded (everything on total-order,
+// One mixed-contention kernel, run seven ways, every leg through the one
+// dispatch-routed fleet:
+//   - four fixed legs (TO / PO / WoC / PVO): no plan and the controller off,
+//     so every variable rides the default route of that kind,
+//   - the fleet seeded by the analysis-derived oracle plan (controller off:
+//     pure static routing),
+//   - the fleet deliberately misseeded (everything on total-order,
 //     controller off): the cost of a wrong static answer,
 //   - the misseeded fleet with the runtime controller on: promotion/demotion
 //     walking the routes back to sanity mid-run.
@@ -14,7 +16,7 @@
 // (per-variable territory), and per-thread scratch variables a static proof
 // can route to the null agent. The headline number — and the CI gate
 // (MVEE_BENCH_AGENTS_MIN_ADAPTIVE_SPEEDUP) — is oracle-adaptive throughput
-// over the best fixed fleet.
+// over the best fixed leg.
 
 #include <cstdio>
 #include <memory>
@@ -139,7 +141,7 @@ struct LegResult {
   bool ok = false;
 };
 
-LegResult RunLegOnce(const std::string& label, int iters, AgentKind agent, bool adaptive,
+LegResult RunLegOnce(const std::string& label, int iters, AgentKind agent,
                      const AgentAssignmentPlan* plan, uint32_t controller_interval_ms) {
   MveeOptions options;
   options.num_variants = 2;
@@ -148,7 +150,6 @@ LegResult RunLegOnce(const std::string& label, int iters, AgentKind agent, bool 
   options.rendezvous_timeout = std::chrono::milliseconds(120000);
   options.agent_config.replay_deadline = std::chrono::milliseconds(120000);
   options.agent_config.buffer_capacity = 1 << 16;
-  options.agent_config.adaptive_agents = adaptive;
   options.agent_config.migrate_interval_ms = controller_interval_ms;
   // Low enough that a sampling interval on a small host still clears it;
   // the default (1 << 16) is sized for production op rates.
@@ -173,12 +174,12 @@ LegResult RunLegOnce(const std::string& label, int iters, AgentKind agent, bool 
 // Min-of-N wall time per leg (MVEE_BENCH_ADAPTIVE_REPS, default 2): the
 // shared host's scheduling noise at these sub-second leg times is larger
 // than the effect under measurement.
-LegResult RunLeg(const std::string& label, int iters, AgentKind agent, bool adaptive,
+LegResult RunLeg(const std::string& label, int iters, AgentKind agent,
                  const AgentAssignmentPlan* plan, uint32_t controller_interval_ms) {
   const int reps = static_cast<int>(EnvInt("MVEE_BENCH_ADAPTIVE_REPS", 2));
   LegResult best;
   for (int rep = 0; rep < reps; ++rep) {
-    LegResult result = RunLegOnce(label, iters, agent, adaptive, plan, controller_interval_ms);
+    LegResult result = RunLegOnce(label, iters, agent, plan, controller_interval_ms);
     if (result.ok && (!best.ok || result.seconds < best.seconds)) {
       best = result;
     }
@@ -193,7 +194,7 @@ LegResult RunLeg(const std::string& label, int iters, AgentKind agent, bool adap
 
 int main() {
   SetLogLevel(LogLevel::kError);
-  PrintHeader("Adaptive per-variable agents: static fleets vs seeded vs controller");
+  PrintHeader("Per-variable agent routing: fixed routes vs seeded vs controller");
 
   const int iters =
       static_cast<int>(EnvInt("MVEE_BENCH_ADAPTIVE_ITERS",
@@ -206,15 +207,15 @@ int main() {
   std::vector<LegResult> legs;
   for (AgentKind kind : {AgentKind::kTotalOrder, AgentKind::kPartialOrder,
                          AgentKind::kWallOfClocks, AgentKind::kPerVariableOrder}) {
-    legs.push_back(RunLeg(std::string("fixed-") + AgentKindName(kind), iters, kind,
-                          /*adaptive=*/false, nullptr, /*controller_interval_ms=*/0));
+    legs.push_back(RunLeg(std::string("fixed-") + AgentKindName(kind), iters, kind, nullptr,
+                          /*controller_interval_ms=*/0));
   }
-  legs.push_back(RunLeg("adaptive-oracle", iters, AgentKind::kWallOfClocks,
-                        /*adaptive=*/true, &oracle, /*controller_interval_ms=*/0));
-  legs.push_back(RunLeg("adaptive-misseeded", iters, AgentKind::kWallOfClocks,
-                        /*adaptive=*/true, &misseeded, /*controller_interval_ms=*/0));
-  legs.push_back(RunLeg("adaptive-controller", iters, AgentKind::kWallOfClocks,
-                        /*adaptive=*/true, &misseeded, /*controller_interval_ms=*/10));
+  legs.push_back(RunLeg("adaptive-oracle", iters, AgentKind::kWallOfClocks, &oracle,
+                        /*controller_interval_ms=*/0));
+  legs.push_back(RunLeg("adaptive-misseeded", iters, AgentKind::kWallOfClocks, &misseeded,
+                        /*controller_interval_ms=*/0));
+  legs.push_back(RunLeg("adaptive-controller", iters, AgentKind::kWallOfClocks, &misseeded,
+                        /*controller_interval_ms=*/10));
 
   // One canonical op count for every leg's rate: the kernel executes the
   // same instrumented ops regardless of routing, but null routes record

@@ -6,7 +6,7 @@
 
 namespace mvee {
 
-// The adaptive per-variant handle: resolves the op's route entry, passes the
+// The per-variant dispatch handle: resolves the op's route entry, passes the
 // master/slave migration gate, and forwards to the routed runtime's own
 // agent for this variant. A kNull route skips the forward entirely — the
 // honest win for statically-proven thread-local variables — but still runs
@@ -56,7 +56,7 @@ class DispatchAgent final : public SyncAgent {
         sub->AfterSyncOp(tid, addr);
       } catch (...) {
         if (role_ == AgentRole::kMaster) {
-          map->MasterCancel(entry_of(pending), tid);
+          map->MasterCancel(pending.entry, tid);
         }
         throw;
       }
@@ -80,7 +80,6 @@ class DispatchAgent final : public SyncAgent {
     VariableAgentMap::Entry* entry = nullptr;
     AgentKind kind = AgentKind::kNull;
   };
-  static VariableAgentMap::Entry* entry_of(const Pending& pending) { return pending.entry; }
 
   AgentFleet* const fleet_;
   const uint32_t variant_;
@@ -92,44 +91,28 @@ class DispatchAgent final : public SyncAgent {
 AgentFleet::AgentFleet(AgentKind kind, const AgentConfig& config, AgentControl control,
                        const AgentAssignmentPlan* plan)
     : kind_(kind), config_(ValidatedAgentConfig(config)), control_(std::move(control)) {
-  const bool adaptive = config_.adaptive_agents && kind_ != AgentKind::kNull;
-  if (adaptive) {
-    // All four runtimes stay alive so any route is instantly serviceable;
-    // the lazy recording rings (record_shards.h) keep the idle ones nearly
-    // free. Per-variable stats remain per-runtime and are summed on read.
-    total_order_ = std::make_unique<TotalOrderRuntime>(config_, control_);
-    partial_order_ = std::make_unique<PartialOrderRuntime>(config_, control_);
-    wall_of_clocks_ = std::make_unique<WallOfClocksRuntime>(config_, control_);
-    per_variable_ = std::make_unique<PerVariableRuntime>(config_, control_);
-    map_ = std::make_unique<VariableAgentMap>(config_, kind_, control_);
-    sub_agents_.resize(config_.num_variants);
-    if (plan != nullptr) {
-      for (const AgentAssignment& assignment : plan->assignments) {
-        // Registration can fail closed past kMaxEntries; the variable then
-        // simply rides the default route.
-        map_->EntryFor(assignment.name, assignment.kind);
-      }
-    }
-    if (config_.migrate_interval_ms > 0 && config_.num_variants > 1) {
-      controller_ = std::thread([this] { ControllerLoop(); });
-    }
-    return;
+  if (kind_ == AgentKind::kNull) {
+    return;  // The paper's no-agent configuration: nothing to record or route.
   }
-  switch (kind_) {
-    case AgentKind::kNull:
-      break;
-    case AgentKind::kTotalOrder:
-      total_order_ = std::make_unique<TotalOrderRuntime>(config_, control_);
-      break;
-    case AgentKind::kPartialOrder:
-      partial_order_ = std::make_unique<PartialOrderRuntime>(config_, control_);
-      break;
-    case AgentKind::kWallOfClocks:
-      wall_of_clocks_ = std::make_unique<WallOfClocksRuntime>(config_, control_);
-      break;
-    case AgentKind::kPerVariableOrder:
-      per_variable_ = std::make_unique<PerVariableRuntime>(config_, control_);
-      break;
+  // All four runtimes stay alive so any route is instantly serviceable; the
+  // lazy recording rings (record_shards.h) keep the idle ones nearly free.
+  // Per-runtime stats are summed on read.
+  total_order_ = std::make_unique<TotalOrderRuntime>(config_, control_);
+  partial_order_ = std::make_unique<PartialOrderRuntime>(config_, control_);
+  wall_of_clocks_ = std::make_unique<ClockRuntime>(AgentKind::kWallOfClocks, config_, control_);
+  per_variable_ =
+      std::make_unique<ClockRuntime>(AgentKind::kPerVariableOrder, config_, control_);
+  map_ = std::make_unique<VariableAgentMap>(config_, kind_, control_);
+  sub_agents_.resize(config_.num_variants);
+  if (plan != nullptr) {
+    for (const AgentAssignment& assignment : plan->assignments) {
+      // Registration can fail closed past kMaxEntries; the variable then
+      // simply rides the default route.
+      map_->EntryFor(assignment.name, assignment.kind);
+    }
+  }
+  if (config_.migrate_interval_ms > 0 && config_.num_variants > 1) {
+    controller_ = std::thread([this] { ControllerLoop(); });
   }
 }
 
@@ -141,33 +124,20 @@ AgentFleet::~AgentFleet() {
 }
 
 std::unique_ptr<SyncAgent> AgentFleet::CreateAgent(uint32_t variant_index) {
-  if (map_ != nullptr) {
-    // Bootstrap (one call per variant, from the monitor): materialize this
-    // variant's handle in every runtime so the dispatch hot path is a plain
-    // array index.
-    auto& subs = sub_agents_[variant_index];
-    subs[static_cast<size_t>(AgentKind::kTotalOrder)] = total_order_->CreateAgent(variant_index);
-    subs[static_cast<size_t>(AgentKind::kPartialOrder)] =
-        partial_order_->CreateAgent(variant_index);
-    subs[static_cast<size_t>(AgentKind::kWallOfClocks)] =
-        wall_of_clocks_->CreateAgent(variant_index);
-    subs[static_cast<size_t>(AgentKind::kPerVariableOrder)] =
-        per_variable_->CreateAgent(variant_index);
-    return std::make_unique<DispatchAgent>(this, variant_index);
+  if (map_ == nullptr) {
+    return std::make_unique<NullAgent>();
   }
-  switch (kind_) {
-    case AgentKind::kNull:
-      return std::make_unique<NullAgent>();
-    case AgentKind::kTotalOrder:
-      return total_order_->CreateAgent(variant_index);
-    case AgentKind::kPartialOrder:
-      return partial_order_->CreateAgent(variant_index);
-    case AgentKind::kWallOfClocks:
-      return wall_of_clocks_->CreateAgent(variant_index);
-    case AgentKind::kPerVariableOrder:
-      return per_variable_->CreateAgent(variant_index);
-  }
-  return nullptr;
+  // Bootstrap (one call per variant, from the monitor): materialize this
+  // variant's handle in every runtime so the dispatch hot path is a plain
+  // array index.
+  auto& subs = sub_agents_[variant_index];
+  subs[static_cast<size_t>(AgentKind::kTotalOrder)] = total_order_->CreateAgent(variant_index);
+  subs[static_cast<size_t>(AgentKind::kPartialOrder)] = partial_order_->CreateAgent(variant_index);
+  subs[static_cast<size_t>(AgentKind::kWallOfClocks)] =
+      wall_of_clocks_->CreateAgent(variant_index);
+  subs[static_cast<size_t>(AgentKind::kPerVariableOrder)] =
+      per_variable_->CreateAgent(variant_index);
+  return std::make_unique<DispatchAgent>(this, variant_index);
 }
 
 SyncAgent* AgentFleet::SubAgent(uint32_t variant, AgentKind kind) const {
@@ -175,11 +145,14 @@ SyncAgent* AgentFleet::SubAgent(uint32_t variant, AgentKind kind) const {
 }
 
 void AgentFleet::DetachVariant(uint32_t variant) {
-  if (total_order_) total_order_->DetachVariant(variant);
-  if (partial_order_) partial_order_->DetachVariant(variant);
-  if (wall_of_clocks_) wall_of_clocks_->DetachVariant(variant);
-  if (per_variable_) per_variable_->DetachVariant(variant);
-  if (map_) map_->DetachVariant(variant);
+  if (map_ == nullptr) {
+    return;
+  }
+  total_order_->DetachVariant(variant);
+  partial_order_->DetachVariant(variant);
+  wall_of_clocks_->DetachVariant(variant);
+  per_variable_->DetachVariant(variant);
+  map_->DetachVariant(variant);
 }
 
 AgentStatsSnapshot AgentFleet::StatsSnapshot() const {
@@ -192,15 +165,17 @@ AgentStatsSnapshot AgentFleet::StatsSnapshot() const {
     total.replay_stalls += part.replay_stalls;
     total.record_lock_spins += part.record_lock_spins;
   };
-  if (total_order_) add(total_order_->stats());
-  if (partial_order_) add(partial_order_->stats());
-  if (wall_of_clocks_) add(wall_of_clocks_->stats());
-  if (per_variable_) add(per_variable_->stats());
+  if (map_ != nullptr) {
+    add(total_order_->stats());
+    add(partial_order_->stats());
+    add(wall_of_clocks_->stats());
+    add(per_variable_->stats());
+  }
   return total;
 }
 
 void AgentFleet::BindVariable(uint32_t variant, const char* name, const void* addr) {
-  if (map_ == nullptr || name == nullptr) {
+  if (name == nullptr) {
     return;
   }
   // Names absent from the plan default to the fleet's own kind — binding is
@@ -248,12 +223,11 @@ uint64_t AgentFleet::MigrationsAborted() const {
 uint64_t AgentFleet::BoundVariables() const { return map_ ? map_->EntryCount() : 0; }
 
 uint64_t AgentFleet::RecordingRingsCreated() const {
-  uint64_t total = 0;
-  if (total_order_) total += total_order_->RecordingRingsCreated();
-  if (partial_order_) total += partial_order_->RecordingRingsCreated();
-  if (wall_of_clocks_) total += wall_of_clocks_->RecordingRingsCreated();
-  if (per_variable_) total += per_variable_->RecordingRingsCreated();
-  return total;
+  if (map_ == nullptr) {
+    return 0;
+  }
+  return total_order_->RecordingRingsCreated() + partial_order_->RecordingRingsCreated() +
+         wall_of_clocks_->RecordingRingsCreated() + per_variable_->RecordingRingsCreated();
 }
 
 void AgentFleet::ControllerLoop() {

@@ -1,21 +1,20 @@
-// AgentFleet: owns the shared runtime(s) of the replication strategy and
-// hands out the per-variant agent handles. The MVEE creates one fleet per run
-// and "injects" an agent into each variant (the paper's LD_PRELOAD injection,
-// §4.5, collapses here to wiring the agent into the variant's thread-local
-// sync context).
+// AgentFleet: owns the shared agent runtimes and hands out the per-variant
+// agent handles. The MVEE creates one fleet per run and "injects" an agent
+// into each variant (the paper's LD_PRELOAD injection, §4.5, collapses here
+// to wiring the agent into the variant's thread-local sync context).
 //
-// Two shapes (AgentConfig::adaptive_agents, docs/DESIGN.md §11):
-//  - Single-agent (adaptive_agents=false, or kind=kNull): one runtime of
-//    `kind`, exactly the seed behavior. The MVEE_ADAPTIVE_AGENTS=0 baseline.
-//  - Adaptive (default): all four runtimes are alive at once (lazy recording
-//    rings keep that affordable) and every variant gets a dispatch agent
-//    that routes each sync op through the VariableAgentMap to the runtime
-//    its variable is assigned to. Routes are seeded from an
-//    AgentAssignmentPlan (the analysis layer's verdicts), re-pointed at
-//    runtime by a sampling controller thread (promotion on contention,
-//    demotion on confinement) or explicitly via ForceMigrate. Unbound
-//    variables ride the default route (= `kind`), so a program that binds
-//    nothing behaves like the single-agent fleet modulo the dispatch gate.
+// One shape (docs/DESIGN.md §11): every recording fleet keeps all four
+// runtimes alive at once — total-order, partial-order, and the clock engine
+// twice, once per address->clock map (wall-of-clocks, per-variable-order) —
+// with lazy recording rings keeping the idle ones affordable. Every variant
+// gets a dispatch agent that routes each sync op through the
+// VariableAgentMap to the runtime its variable is assigned to. Routes are
+// seeded from an AgentAssignmentPlan (the analysis layer's verdicts),
+// re-pointed at runtime by a sampling controller thread (promotion on
+// contention, demotion on confinement) or explicitly via ForceMigrate.
+// Unbound variables ride the default route (= `kind`). A kNull fleet is the
+// paper's no-agent configuration: no runtimes, and every variant gets a
+// NullAgent.
 
 #ifndef MVEE_AGENTS_AGENT_FLEET_H_
 #define MVEE_AGENTS_AGENT_FLEET_H_
@@ -27,19 +26,18 @@
 #include <thread>
 #include <vector>
 
+#include "mvee/agents/clock_agent.h"
 #include "mvee/agents/partial_order.h"
-#include "mvee/agents/per_variable.h"
 #include "mvee/agents/sync_agent.h"
 #include "mvee/agents/total_order.h"
 #include "mvee/agents/variable_map.h"
-#include "mvee/agents/wall_of_clocks.h"
 
 namespace mvee {
 
 class AgentFleet {
  public:
-  // `plan` (optional) seeds per-variable routes when adaptive; ignored (with
-  // a nullptr default) for the single-agent shape. The plan is copied.
+  // `plan` (optional) seeds per-variable routes; ignored for kNull. The
+  // plan's entries are registered at construction.
   AgentFleet(AgentKind kind, const AgentConfig& config, AgentControl control,
              const AgentAssignmentPlan* plan = nullptr);
   ~AgentFleet();
@@ -57,13 +55,12 @@ class AgentFleet {
   void DetachVariant(uint32_t variant);
 
   AgentKind kind() const { return kind_; }
-  bool adaptive() const { return map_ != nullptr; }
 
   // Aggregated recorder/replayer statistics summed over every live runtime
   // (zeros for kNull).
   AgentStatsSnapshot StatsSnapshot() const;
 
-  // ---- Adaptive API (inert when !adaptive()) ----
+  // ---- Routing API (inert for a kNull fleet) ----
 
   // Current route of `name`; the default route's kind for "" or names that
   // were never registered.
@@ -72,7 +69,7 @@ class AgentFleet {
   // Moves `name`'s route ("" = the default route shared by all unbound
   // variables) to `to` through the epoch handshake. Returns true iff the
   // flip completed (false: unknown name, already there, timeout-abort, or
-  // non-adaptive fleet).
+  // kNull fleet).
   bool ForceMigrate(const std::string& name, AgentKind to);
 
   uint64_t MigrationsCompleted() const;
@@ -99,9 +96,9 @@ class AgentFleet {
   AgentControl control_;
   std::unique_ptr<TotalOrderRuntime> total_order_;
   std::unique_ptr<PartialOrderRuntime> partial_order_;
-  std::unique_ptr<WallOfClocksRuntime> wall_of_clocks_;
-  std::unique_ptr<PerVariableRuntime> per_variable_;
-  // Adaptive state (null/empty for the single-agent shape).
+  std::unique_ptr<ClockRuntime> wall_of_clocks_;
+  std::unique_ptr<ClockRuntime> per_variable_;
+  // Routing state (null/empty for a kNull fleet).
   std::unique_ptr<VariableAgentMap> map_;
   // sub_agents_[variant][kind]: the per-variant handle of each runtime the
   // dispatch agent can route to (kNull slot stays empty — a kNull route

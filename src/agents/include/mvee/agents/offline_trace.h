@@ -72,8 +72,6 @@ class OfflineRecorderAgent final : public SyncAgent {
     uint64_t time = 0;
   };
 
-  uint32_t ClockOf(const void* addr) const;
-
   std::unique_ptr<SyncTrace> trace_;
   std::vector<Clock> clocks_;
   std::mutex append_mutex_;

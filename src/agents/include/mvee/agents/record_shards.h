@@ -1,15 +1,17 @@
-// Shared machinery of the agents' recording paths (docs/DESIGN.md §8): the
-// per-sync-variable shard locks and global ticket counter of the TO/PO
-// master path, the lazily-created per-master-thread recording rings every
-// runtime records into, and the record-with-backpressure push. The runtimes
-// instantiate this rather than carrying private copies, so a change to the
-// lock/ticket/push sequence — whose memory ordering the §8 soundness
-// argument depends on — cannot silently diverge between agents.
+// Shared machinery of the agents' record and replay paths (docs/DESIGN.md
+// §8): the per-sync-variable shard locks and global ticket counter of the
+// TO/PO master path, the lazily-created per-master-thread recording rings
+// every runtime records into, the record-with-backpressure push, and the one
+// slave-side replay wait. The runtimes instantiate this rather than carrying
+// private copies, so a change to the lock/ticket/push sequence — whose
+// memory ordering the §8 soundness argument depends on — or to the replay
+// wait's exit rules cannot silently diverge between agents.
 
 #ifndef MVEE_AGENTS_RECORD_SHARDS_H_
 #define MVEE_AGENTS_RECORD_SHARDS_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -173,28 +175,86 @@ class LazyRingSet {
   std::atomic<uint64_t> created_{0};
 };
 
-// The tail of a TO/PO master's AfterSyncOp: push the stamped entry into
-// the thread's own ring (spinning while the slowest slave variant gates the
-// slot), bump ops_recorded, release the shard. The push stays inside the
-// shard lock — that chains ring publications of conflicting ops, the
-// visibility half of the §8 argument.
-template <typename Shard, typename Entry>
-void RecordIntoRing(BroadcastRing<Entry>& ring, const Entry& entry, Shard& shard,
-                    const AgentControl& control, AgentStats::Shard& stats) {
+// Every master's record step: push the stamped entry into the thread's own
+// ring, spinning while the slowest slave variant gates the slot (one
+// record_stalls per blocked push), then bump ops_recorded.
+template <typename Entry>
+void PushRecorded(BroadcastRing<Entry>& ring, const Entry& entry, const AgentControl& control,
+                  AgentStats::Shard& stats) {
   if (!ring.TryPush(entry)) {
     stats.record_stalls.fetch_add(1, std::memory_order_relaxed);
     SpinWait waiter;
     while (!ring.TryPush(entry)) {
       if (control.aborted()) {
-        shard.Release();
         throw VariantKilled{};
       }
       waiter.Pause();
     }
   }
   stats.ops_recorded.fetch_add(1, std::memory_order_relaxed);
+}
+
+// The tail of a TO/PO master's AfterSyncOp: PushRecorded, then release the
+// shard. The push stays inside the shard lock — that chains ring
+// publications of conflicting ops, the visibility half of the §8 argument.
+template <typename Shard, typename Entry>
+void RecordIntoRing(BroadcastRing<Entry>& ring, const Entry& entry, Shard& shard,
+                    const AgentControl& control, AgentStats::Shard& stats) {
+  try {
+    PushRecorded(ring, entry, control, stats);
+  } catch (...) {
+    shard.Release();
+    throw;
+  }
   shard.Release();
 }
+
+// One slave op's replay wait: every replay and admission wait of the agent
+// layer (the runtimes' ring-front and ordering waits, the dispatch gate's
+// ordinal wait) spins through this, so their exit rules cannot drift apart.
+// Construct one per op and call Until once per wait; per blocked spin, in
+// order:
+//  - unwind: abort or this variant excised -> VariantKilled;
+//  - count one replay_stalls the first time any wait of the op blocks
+//    (`stats` may be null: the dispatch gate's wait is not a replay stall);
+//  - deadline: armed once per op, so it spans all of the op's waits; on
+//    expiry the stall message is built (only then) and reported through
+//    on_stall, and the thread unwinds with VariantKilled.
+class ReplayWait {
+ public:
+  ReplayWait(const AgentControl& control, uint32_t variant, std::chrono::milliseconds deadline,
+             AgentStats::Shard* stats)
+      : control_(control), variant_(variant), stats_(stats), deadline_(deadline) {}
+
+  // Returns once `ready()` holds. `describe()` returns the stall message.
+  template <typename Ready, typename Describe>
+  void Until(Ready&& ready, Describe&& describe) {
+    waiter_.Reset();
+    while (!ready()) {
+      if (control_.should_unwind(variant_)) {
+        throw VariantKilled{};
+      }
+      if (stats_ != nullptr) {
+        stats_->replay_stalls.fetch_add(1, std::memory_order_relaxed);
+        stats_ = nullptr;
+      }
+      if (deadline_.Expired(waiter_)) {
+        if (control_.on_stall) {
+          control_.on_stall(describe());
+        }
+        throw VariantKilled{};
+      }
+      waiter_.Pause();
+    }
+  }
+
+ private:
+  const AgentControl& control_;
+  const uint32_t variant_;
+  AgentStats::Shard* stats_;  // Nulled once this op's stall is counted.
+  DeadlineGate deadline_;
+  SpinWait waiter_;
+};
 
 }  // namespace mvee
 

@@ -12,13 +12,17 @@
 //   AfterSyncOp(tid, addr);
 //
 // Master agents make (record + execute) atomic per ordering domain by holding
-// an instrumentation lock across the op: a per-clock lock for wall-of-clocks,
-// and a per-sync-variable shard lock plus a global ticket counter for the
+// an instrumentation lock across the op: a per-clock lock for the clock
+// engine behind wall-of-clocks and per-variable-order (clock_agent.h), and a
+// per-sync-variable shard lock plus a global ticket counter for the
 // total-order and partial-order agents (docs/DESIGN.md §8) — never one
 // global lock, the source of the simple agents' cache contention in §4.5.
+// Slaves of every agent wait their turn through one replay wait
+// (ReplayWait, record_shards.h).
 //
-// Agents never allocate memory on the hot path (§3.3): all buffers and clock
-// pools are preallocated when the shared runtime is created.
+// Agents never allocate memory on the hot path (§3.3): clock pools are
+// preallocated when the shared runtime is created, and a thread's recording
+// ring on its first sync op (bootstrap, like the thread itself).
 
 #ifndef MVEE_AGENTS_SYNC_AGENT_H_
 #define MVEE_AGENTS_SYNC_AGENT_H_
@@ -26,7 +30,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
@@ -94,14 +97,6 @@ class AgentStats {
   Shard shards_[kShards];
 };
 
-// Default for AgentConfig::adaptive_agents: on, unless the environment forces
-// the single-agent baseline (MVEE_ADAPTIVE_AGENTS=0). Whole test suites can
-// run either mode without edits; explicit assignments in code always win.
-inline bool DefaultAdaptiveAgents() {
-  const char* env = std::getenv("MVEE_ADAPTIVE_AGENTS");
-  return env == nullptr || env[0] != '0';
-}
-
 // Shared configuration for agent runtimes.
 struct AgentConfig {
   uint32_t max_threads = 64;           // Max logical threads per variant.
@@ -122,16 +117,6 @@ struct AgentConfig {
   // per thread, floor 512). Rounded up to a power of two, clamped to
   // [64, 65536]. Exposed for the shard-collision ablation.
   size_t record_shard_count = 0;
-  // Contention-adaptive per-variable dispatch (docs/DESIGN.md §11): the
-  // fleet instantiates every agent runtime, routes each *registered* sync
-  // variable (SyncAgent::BindVariable) to its assigned runtime through the
-  // VariableAgentMap, and migrates routes at runtime quiesce points.
-  // Unregistered variables ride the default route (the fleet's configured
-  // AgentKind), so a program that never binds anything behaves exactly like
-  // the single-agent baseline modulo the dispatch gate. Off restores the
-  // seed's one-runtime fleet; MVEE_ADAPTIVE_AGENTS=0 flips the default for
-  // whole-suite baseline sweeps (PR 2-7 pattern).
-  bool adaptive_agents = DefaultAdaptiveAgents();
   // Sample interval of the route controller that promotes/demotes bound
   // variables from their observed contention. 0 disables the controller;
   // plan seeding and AgentFleet::ForceMigrate still work.
@@ -209,7 +194,7 @@ class SyncAgent {
   virtual const char* name() const = 0;
 
   // Registers `addr` as sync variable `name` for this variant. Only the
-  // adaptive dispatch agent (docs/DESIGN.md §11) overrides this: addresses
+  // fleet's dispatch agent (docs/DESIGN.md §11) overrides this: addresses
   // differ across variants under ASLR/DCL, so per-variable routing must be
   // keyed by a variant-invariant identity, and the program supplies it by
   // binding each routed variable — in every variant, before the variable's
@@ -277,8 +262,9 @@ enum class AgentKind : uint8_t {
   kTotalOrder,
   kPartialOrder,
   kWallOfClocks,
-  // Ablation: WoC's collision-free limit — one private clock per sync
-  // variable from a preallocated lock-free address table (§4.5 trade-off).
+  // WoC's collision-free limit: the same clock engine, with one private
+  // clock per sync variable from a preallocated lock-free address table
+  // instead of the hashed wall (§4.5 trade-off).
   kPerVariableOrder,
 };
 

@@ -103,13 +103,8 @@ OfflineRecorderAgent::OfflineRecorderAgent(uint32_t max_threads, size_t clock_co
 
 OfflineRecorderAgent::~OfflineRecorderAgent() = default;
 
-uint32_t OfflineRecorderAgent::ClockOf(const void* addr) const {
-  return static_cast<uint32_t>(ClockAddressHash(reinterpret_cast<uint64_t>(addr)) %
-                               clocks_.size());
-}
-
 void OfflineRecorderAgent::BeforeSyncOp(uint32_t tid, const void* addr) {
-  const uint32_t clock_id = ClockOf(addr);
+  const uint32_t clock_id = WallClockOf(addr, clocks_.size());
   auto& clock = clocks_[clock_id];
   SpinWait waiter;
   while (clock.lock.test_and_set(std::memory_order_acquire)) {

@@ -1,6 +1,5 @@
 #include "mvee/agents/partial_order.h"
 
-#include <chrono>
 #include <string>
 
 #include "mvee/util/spin.h"
@@ -129,37 +128,20 @@ void PartialOrderAgent::BeforeSyncOp(uint32_t tid, const void* addr) {
     return;
   }
 
-  DeadlineGate deadline(runtime_->config_.replay_deadline);
-  SpinWait waiter;
-  bool stalled = false;
-
-  auto check_deadline = [&](const char* phase) {
-    if (runtime_->control_.should_unwind(stats_variant_)) {
-      throw VariantKilled{};
-    }
-    if (deadline.Expired(waiter)) {
-      if (runtime_->control_.on_stall) {
-        runtime_->control_.on_stall(std::string("partial-order replay deadline (") + phase +
-                                    ", tid " + std::to_string(tid) + ")");
-      }
-      throw VariantKilled{};
-    }
+  ReplayWait wait(runtime_->control_, stats_variant_, runtime_->config_.replay_deadline,
+                  &runtime_->stats_.shard(stats_variant_, tid));
+  auto stall = [tid](const char* phase) {
+    return std::string("partial-order replay deadline (") + phase + ", tid " +
+           std::to_string(tid) + ")";
   };
 
   // Step 1: this thread's next entry is its own ring's front — master
   // thread t produced exactly thread t's entries, in program order, so no
   // scan is needed to find it (docs/DESIGN.md §8).
   auto& ring = runtime_->thread_rings_.Get(tid);
-  const size_t consumer = slave_->consumer_id;
   PartialOrderRuntime::Entry mine;
-  while (!ring.Peek(consumer, 0, &mine)) {
-    if (!stalled) {
-      stalled = true;
-      runtime_->stats_.shard(stats_variant_, tid).replay_stalls.fetch_add(1, std::memory_order_relaxed);
-    }
-    check_deadline("front");
-    waiter.Pause();
-  }
+  wait.Until([&] { return ring.Peek(slave_->consumer_id, 0, &mine); },
+             [&] { return stall("front"); });
 
   pending_seq_[tid] = mine.seq;
 
@@ -178,15 +160,8 @@ void PartialOrderAgent::BeforeSyncOp(uint32_t tid, const void* addr) {
     return;
   }
   auto& prev_mark = slave_->consumed_through[mine.prev_tid].next;
-  waiter.Reset();
-  while (prev_mark.load(std::memory_order_acquire) <= mine.prev_seq) {
-    if (!stalled) {
-      stalled = true;
-      runtime_->stats_.shard(stats_variant_, tid).replay_stalls.fetch_add(1, std::memory_order_relaxed);
-    }
-    check_deadline("dependence");
-    waiter.Pause();
-  }
+  wait.Until([&] { return prev_mark.load(std::memory_order_acquire) > mine.prev_seq; },
+             [&] { return stall("dependence"); });
 }
 
 void PartialOrderAgent::AfterSyncOp(uint32_t tid, const void* addr) {

@@ -1,10 +1,6 @@
 #include "mvee/agents/total_order.h"
 
-#include <chrono>
 #include <string>
-
-#include "mvee/util/spin.h"
-#include "mvee/util/variant_killed.h"
 
 namespace mvee {
 
@@ -55,9 +51,8 @@ void TotalOrderAgent::BeforeSyncOp(uint32_t tid, const void* addr) {
     return;
   }
 
-  DeadlineGate deadline(runtime_->config_.replay_deadline);
-  SpinWait waiter;
-  bool stalled = false;
+  ReplayWait wait(runtime_->control_, stats_variant_, runtime_->config_.replay_deadline,
+                  &runtime_->stats_.shard(stats_variant_, tid));
 
   // Slave merge (docs/DESIGN.md §8): thread t's next op is its own ring's
   // front (master thread t produced exactly this thread's entries, in
@@ -66,44 +61,17 @@ void TotalOrderAgent::BeforeSyncOp(uint32_t tid, const void* addr) {
   // ratchet ARE the deterministic merge of the per-thread rings.
   auto& ring = runtime_->thread_rings_.Get(tid);
   TotalOrderRuntime::Entry entry;
-  while (!ring.Peek(consumer_id_, 0, &entry)) {
-    if (runtime_->control_.should_unwind(stats_variant_)) {
-      throw VariantKilled{};
-    }
-    if (!stalled) {
-      stalled = true;
-      runtime_->stats_.shard(stats_variant_, tid).replay_stalls.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (deadline.Expired(waiter)) {
-      if (runtime_->control_.on_stall) {
-        runtime_->control_.on_stall("total-order replay deadline (no entry, tid " +
-                                    std::to_string(tid) + ")");
-      }
-      throw VariantKilled{};
-    }
-    waiter.Pause();
-  }
+  wait.Until([&] { return ring.Peek(consumer_id_, 0, &entry); },
+             [&] {
+               return "total-order replay deadline (no entry, tid " + std::to_string(tid) + ")";
+             });
   auto& front = runtime_->replay_fronts_[consumer_id_].next_seq;
-  waiter.Reset();
-  while (front.load(std::memory_order_acquire) != entry.seq) {
-    if (runtime_->control_.should_unwind(stats_variant_)) {
-      throw VariantKilled{};
-    }
-    if (!stalled) {
-      stalled = true;
-      runtime_->stats_.shard(stats_variant_, tid).replay_stalls.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (deadline.Expired(waiter)) {
-      if (runtime_->control_.on_stall) {
-        runtime_->control_.on_stall("total-order replay deadline (seq " +
-                                    std::to_string(entry.seq) + " waiting on " +
-                                    std::to_string(front.load()) + ", tid " +
-                                    std::to_string(tid) + ")");
-      }
-      throw VariantKilled{};
-    }
-    waiter.Pause();
-  }
+  wait.Until([&] { return front.load(std::memory_order_acquire) == entry.seq; },
+             [&] {
+               return "total-order replay deadline (seq " + std::to_string(entry.seq) +
+                      " waiting on " + std::to_string(front.load()) + ", tid " +
+                      std::to_string(tid) + ")";
+             });
   pending_seq_[tid] = entry.seq;
 }
 

@@ -1,5 +1,8 @@
 #include "mvee/agents/variable_map.h"
 
+#include <string>
+
+#include "mvee/agents/record_shards.h"
 #include "mvee/util/hash.h"
 #include "mvee/util/spin.h"
 #include "mvee/util/variant_killed.h"
@@ -128,7 +131,7 @@ bool VariableAgentMap::Bind(uint32_t variant, const void* addr, Entry* entry) {
 }
 
 VariableAgentMap::Entry* VariableAgentMap::Find(uint32_t variant, const void* addr) const {
-  // Nothing bound anywhere (the common single-agent-equivalent case): skip
+  // Nothing bound anywhere (every op rides the default route): skip
   // the probe entirely.
   if (entry_count_.load(std::memory_order_acquire) == 0) {
     return default_entry_.get();
@@ -193,47 +196,44 @@ void VariableAgentMap::MasterExit(Entry* entry, uint32_t tid) {
 AgentKind VariableAgentMap::SlaveEnter(Entry* entry, uint32_t variant, uint32_t tid) {
   // My op's ordinal on this entry (owner-read; bumped in SlaveExit).
   const uint64_t mine = entry->replayed[variant - 1][tid].value.load(std::memory_order_relaxed);
-  SpinWait waiter;
-  DeadlineGate deadline(config_.replay_deadline);
-  for (;;) {
-    const uint64_t word = entry->route.load(std::memory_order_acquire);
-    // kNull routes are migration-frozen (Migrate refuses them), so the word's
-    // kind is the kind for every ordinal — no need to chase the master.
-    if (RouteKind(word) == AgentKind::kNull) [[unlikely]] {
-      return AgentKind::kNull;
-    }
-    // Admission rule: wait until the MASTER has recorded this same ordinal,
-    // then replay under the current word's kind. Proof that the word's kind
-    // is ordinal `mine`'s record kind, in every state:
-    //  - recorded[tid] > mine and the word unchanged across the read (epochs
-    //    never repeat, so the re-load is ABA-free) pin `mine` below the NEXT
-    //    migration's freeze point — recorded[tid] is stable from quiesce to
-    //    flip, so any in-progress or later migration freezes at > mine and
-    //    keeps ordinal `mine` on this side of its flip.
-    //  - And `mine` is at or above the LAST flip's freeze point: that flip's
-    //    drain waited for replayed[v][tid] to reach it, and our replayed
-    //    count still is `mine` — so the master recorded ordinal `mine` after
-    //    the last flip, under the word's kind (induction across migrations:
-    //    docs/DESIGN.md §11).
-    // A slave ahead of the master parks HERE, never inside a runtime whose
-    // stream the ordinal may yet migrate out of.
-    if (entry->recorded[tid].value.load(std::memory_order_acquire) > mine &&
-        entry->route.load(std::memory_order_acquire) == word) [[likely]] {
-      return RouteKind(word);
-    }
-    if (control_.should_unwind(variant)) {
-      throw VariantKilled{};
-    }
-    if (deadline.Expired(waiter)) {
-      if (control_.on_stall) {
-        control_.on_stall("adaptive replay stall (variable '" + entry->name + "', variant " +
-                          std::to_string(variant) + " tid " + std::to_string(tid) +
-                          " waiting for master ordinal " + std::to_string(mine) + ")");
-      }
-      throw VariantKilled{};
-    }
-    waiter.Pause();
-  }
+  // No stats shard: parking here is admission, not a replay stall — the
+  // routed runtime's own wait counts those.
+  ReplayWait wait(control_, variant, config_.replay_deadline, nullptr);
+  uint64_t word = 0;
+  wait.Until(
+      [&] {
+        word = entry->route.load(std::memory_order_acquire);
+        // kNull routes are migration-frozen (Migrate refuses them), so the
+        // word's kind is the kind for every ordinal — no need to chase the
+        // master.
+        if (RouteKind(word) == AgentKind::kNull) [[unlikely]] {
+          return true;
+        }
+        // Admission rule: wait until the MASTER has recorded this same
+        // ordinal, then replay under the current word's kind. Proof that the
+        // word's kind is ordinal `mine`'s record kind, in every state:
+        //  - recorded[tid] > mine and the word unchanged across the read
+        //    (epochs never repeat, so the re-load is ABA-free) pin `mine`
+        //    below the NEXT migration's freeze point — recorded[tid] is
+        //    stable from quiesce to flip, so any in-progress or later
+        //    migration freezes at > mine and keeps ordinal `mine` on this
+        //    side of its flip.
+        //  - And `mine` is at or above the LAST flip's freeze point: that
+        //    flip's drain waited for replayed[v][tid] to reach it, and our
+        //    replayed count still is `mine` — so the master recorded ordinal
+        //    `mine` after the last flip, under the word's kind (induction
+        //    across migrations: docs/DESIGN.md §11).
+        // A slave ahead of the master parks HERE, never inside a runtime
+        // whose stream the ordinal may yet migrate out of.
+        return entry->recorded[tid].value.load(std::memory_order_acquire) > mine &&
+               entry->route.load(std::memory_order_acquire) == word;
+      },
+      [&] {
+        return "adaptive replay stall (variable '" + entry->name + "', variant " +
+               std::to_string(variant) + " tid " + std::to_string(tid) +
+               " waiting for master ordinal " + std::to_string(mine) + ")";
+      });
+  return RouteKind(word);
 }
 
 void VariableAgentMap::SlaveExit(Entry* entry, uint32_t variant, uint32_t tid) {

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "mvee/analysis/constraints.h"
-#include "mvee/analysis/syncop_analysis.h"
 #include "mvee/analysis/wave_solver.h"
 
 namespace mvee {
@@ -91,53 +90,6 @@ std::vector<std::pair<int32_t, int32_t>> ResolveCallCopies(const MirModule& modu
     }
   }
   return copies;
-}
-
-SyncOpReport IdentifySyncOpsAndersen(const MirModule& module,
-                                     const SyncOpAnalysisOptions& options) {
-  SyncOpReport report;
-  report.module_name = module.name;
-
-  AndersenAnalysis points_to(module);
-  report.stats = points_to.stats();
-
-  for (const auto& function : module.functions) {
-    for (size_t i = 0; i < function.instructions.size(); ++i) {
-      const MirInst& inst = function.instructions[i];
-      if (inst.op == MirOp::kLockRmw) {
-        report.type_i.push_back({function.name, i, inst.source_line, inst.op});
-        points_to.ForEachPointee(inst.ptr,
-                                 [&](int32_t object) { report.sync_objects.insert(object); });
-      } else if (inst.op == MirOp::kXchg) {
-        report.type_ii.push_back({function.name, i, inst.source_line, inst.op});
-        points_to.ForEachPointee(inst.ptr,
-                                 [&](int32_t object) { report.sync_objects.insert(object); });
-      }
-    }
-  }
-
-  if (options.treat_volatile_as_sync) {
-    for (size_t obj = 0; obj < module.objects.size(); ++obj) {
-      if (module.objects[obj].is_volatile) {
-        report.sync_objects.insert(static_cast<int32_t>(obj));
-      }
-    }
-  }
-
-  for (const auto& function : module.functions) {
-    for (size_t i = 0; i < function.instructions.size(); ++i) {
-      const MirInst& inst = function.instructions[i];
-      if (inst.op != MirOp::kLoad && inst.op != MirOp::kStore) {
-        continue;
-      }
-      if (points_to.MayPointInto(inst.ptr, report.sync_objects)) {
-        report.type_iii.push_back({function.name, i, inst.source_line, inst.op});
-      } else {
-        ++report.unmarked_memops;
-      }
-    }
-  }
-  return report;
 }
 
 }  // namespace mvee

@@ -1,8 +1,10 @@
 #include "mvee/analysis/assignment_plan.h"
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "mvee/analysis/andersen.h"
 
@@ -53,6 +55,19 @@ AssignmentPlanReport DeriveAssignmentPlan(const MirModule& module, const SyncOpR
                                           const AssignmentPlanOptions& options) {
   AndersenAnalysis points_to(module);
   std::map<int32_t, ObjectFacts> facts;
+  // Sync-object membership as a flat table indexed by object id: the walk
+  // below tests every pointee of every memory op, and a tree lookup per
+  // pointee made this walk the bulk of the plan's time.
+  std::vector<char> sync_table(
+      report.sync_objects.empty() ? 0 : std::max(*report.sync_objects.rbegin(), 0) + 1);
+  for (int32_t object : report.sync_objects) {
+    if (object >= 0) {
+      sync_table[object] = 1;
+    }
+  }
+  auto is_sync = [&sync_table](int32_t object) {
+    return static_cast<size_t>(object) < sync_table.size() && sync_table[object] != 0;
+  };
 
   for (const auto& function : module.functions) {
     for (const auto& inst : function.instructions) {
@@ -65,7 +80,7 @@ AssignmentPlanReport DeriveAssignmentPlan(const MirModule& module, const SyncOpR
       // bitmap walks — no materialized std::set per site.
       size_t sync_targets = 0;
       points_to.ForEachPointee(inst.ptr, [&](int32_t target) {
-        if (report.sync_objects.count(target) != 0) {
+        if (is_sync(target)) {
           ++sync_targets;
         }
       });
@@ -73,7 +88,7 @@ AssignmentPlanReport DeriveAssignmentPlan(const MirModule& module, const SyncOpR
         continue;
       }
       points_to.ForEachPointee(inst.ptr, [&](int32_t target) {
-        if (report.sync_objects.count(target) == 0) {
+        if (!is_sync(target)) {
           return;
         }
         ObjectFacts& object_facts = facts[target];

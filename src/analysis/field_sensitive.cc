@@ -61,59 +61,4 @@ bool FieldSensitiveAnalysis::MayAlias(int32_t reg_a, int32_t reg_b) const {
   return MayPointInto(reg_b, mask);
 }
 
-SyncOpReport IdentifySyncOpsFieldSensitive(const MirModule& module,
-                                           const SyncOpAnalysisOptions& options) {
-  SyncOpReport report;
-  report.module_name = module.name;
-
-  FieldSensitiveAnalysis points_to(module);
-  report.stats = points_to.stats();
-  // Every location that may alias a sync-variable location.
-  SparseBitmap sync_mask;
-
-  // Stage 1: type (i)/(ii) instructions seed the sync-variable locations at
-  // field granularity.
-  for (const auto& function : module.functions) {
-    for (size_t i = 0; i < function.instructions.size(); ++i) {
-      const MirInst& inst = function.instructions[i];
-      if (inst.op != MirOp::kLockRmw && inst.op != MirOp::kXchg) {
-        continue;
-      }
-      auto& bucket = inst.op == MirOp::kLockRmw ? report.type_i : report.type_ii;
-      bucket.push_back({function.name, i, inst.source_line, inst.op});
-      for (const FieldLoc& loc : points_to.PointsTo(inst.ptr)) {
-        report.sync_objects.insert(loc.object);
-      }
-      points_to.AddAliases(inst.ptr, &sync_mask);
-    }
-  }
-
-  // Volatile extension: a volatile qualifier covers the whole object.
-  if (options.treat_volatile_as_sync) {
-    for (size_t obj = 0; obj < module.objects.size(); ++obj) {
-      if (module.objects[obj].is_volatile) {
-        points_to.AddObject(static_cast<int32_t>(obj), &sync_mask);
-        report.sync_objects.insert(static_cast<int32_t>(obj));
-      }
-    }
-  }
-
-  // Stage 2 at field granularity: a load/store of a *different field* of an
-  // object whose refcount field is locked stays unmarked.
-  for (const auto& function : module.functions) {
-    for (size_t i = 0; i < function.instructions.size(); ++i) {
-      const MirInst& inst = function.instructions[i];
-      if (inst.op != MirOp::kLoad && inst.op != MirOp::kStore) {
-        continue;
-      }
-      if (points_to.MayPointInto(inst.ptr, sync_mask)) {
-        report.type_iii.push_back({function.name, i, inst.source_line, inst.op});
-      } else {
-        ++report.unmarked_memops;
-      }
-    }
-  }
-  return report;
-}
-
 }  // namespace mvee

@@ -74,10 +74,10 @@ struct MveeReport {
   // excised_variants / status.
   uint64_t watchdog_dumps = 0;
   uint64_t watchdog_nudges = 0;
-  // Adaptive per-variable agents (docs/DESIGN.md §11): variables routed to
+  // Per-variable agent routing (docs/DESIGN.md §11): variables routed to
   // their own agent entry, and route migrations the controller (or
-  // ForceMigrate) completed/aborted during the run. All zero under
-  // MVEE_ADAPTIVE_AGENTS=0 or when the program binds nothing.
+  // ForceMigrate) completed/aborted during the run. All zero under the null
+  // agent or when neither the plan nor the program names a variable.
   uint64_t adaptive_bound_variables = 0;
   uint64_t agent_migrations = 0;
   uint64_t agent_migrations_aborted = 0;

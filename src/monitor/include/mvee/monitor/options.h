@@ -92,10 +92,9 @@ struct MveeOptions {
   // Agent tuning.
   AgentConfig agent_config;
   // Static per-variable agent seeding (docs/DESIGN.md §11): routes derived
-  // by the analysis layer (DeriveAssignmentPlan) or written by hand. Only
-  // consulted when agent_config.adaptive_agents is on; variables the plan
-  // does not name (and all unbound addresses) ride the default route =
-  // `agent`.
+  // by the analysis layer (DeriveAssignmentPlan) or written by hand. Ignored
+  // under the null agent; variables the plan does not name (and all unbound
+  // addresses) ride the default route = `agent`.
   AgentAssignmentPlan agent_plan;
 };
 

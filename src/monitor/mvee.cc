@@ -275,8 +275,13 @@ void Mvee::WatchdogLoop() {
     std::chrono::steady_clock::time_point since;
     int stage = 0;  // escalation stages already taken for this heartbeat
   };
+  // Steady state allocates nothing: a (tid, variant) node is inserted the
+  // first time that thread is seen in a call and from then on reset in
+  // place, and the monitor list is reserved up front (thread sets are
+  // logical threads, which the agents bound by max_threads).
   std::map<std::pair<uint32_t, uint32_t>, Watch> watches;  // (tid, variant)
   std::vector<ThreadSetMonitor*> monitors;
+  monitors.reserve(options_.agent_config.max_threads);
 
   while (!watchdog_stop_.load(std::memory_order_acquire) && !reporter_.tripped()) {
     // Interruptible sleep: Run() flips the stop flag before joining.
@@ -298,13 +303,12 @@ void Mvee::WatchdogLoop() {
     for (ThreadSetMonitor* monitor : monitors) {
       for (uint32_t v = 0; v < options_.num_variants; ++v) {
         const auto key = std::make_pair(monitor->tid(), v);
-        if (reporter_.VariantDead(v)) {
-          watches.erase(key);
-          continue;
-        }
-        const ThreadSetMonitor::CallProgress progress = monitor->Progress(v);
+        const ThreadSetMonitor::CallProgress progress =
+            reporter_.VariantDead(v) ? ThreadSetMonitor::CallProgress{} : monitor->Progress(v);
         if (!progress.in_call) {
-          watches.erase(key);
+          if (const auto found = watches.find(key); found != watches.end()) {
+            found->second = Watch{};
+          }
           continue;
         }
         Watch& watch = watches[key];

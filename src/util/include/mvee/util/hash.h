@@ -62,6 +62,15 @@ constexpr uint64_t ClockAddressHash(uint64_t address) {
   return x;
 }
 
+// The wall-of-clocks address->clock map: the bucketed address hash folded
+// onto a wall of `clock_count` clocks. The online clock engine and the
+// offline trace recorder both map through here, so one address gets one
+// clock id at one wall size in both.
+inline uint32_t WallClockOf(const void* addr, size_t clock_count) {
+  return static_cast<uint32_t>(ClockAddressHash(reinterpret_cast<uint64_t>(addr)) %
+                               clock_count);
+}
+
 }  // namespace mvee
 
 #endif  // MVEE_UTIL_HASH_H_

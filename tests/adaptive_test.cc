@@ -200,7 +200,6 @@ AgentConfig AdaptiveConfig(uint32_t variants, uint32_t threads) {
   config.max_threads = threads;
   config.buffer_capacity = 1 << 14;
   config.replay_deadline = std::chrono::milliseconds(20000);
-  config.adaptive_agents = true;  // Explicit: must hold under MVEE_ADAPTIVE_AGENTS=0 sweeps.
   config.migrate_interval_ms = 0;  // Controller off unless a test turns it on.
   return config;
 }
@@ -216,7 +215,6 @@ TEST(AdaptiveFleetTest, DerivedPlanSeedsDistinctRoutes) {
   AgentControl control;
   control.abort_flag = &abort;
   AgentFleet fleet(AgentKind::kWallOfClocks, AdaptiveConfig(2, 2), control, &derived.plan);
-  ASSERT_TRUE(fleet.adaptive());
   EXPECT_EQ(fleet.BoundVariables(), 5u);
   EXPECT_EQ(fleet.RouteOf("hot"), AgentKind::kTotalOrder);
   EXPECT_EQ(fleet.RouteOf("cold"), AgentKind::kPerVariableOrder);
@@ -225,21 +223,6 @@ TEST(AdaptiveFleetTest, DerivedPlanSeedsDistinctRoutes) {
   // Unregistered names and the default route carry the fleet's kind.
   EXPECT_EQ(fleet.RouteOf(""), AgentKind::kWallOfClocks);
   EXPECT_EQ(fleet.RouteOf("never-registered"), AgentKind::kWallOfClocks);
-}
-
-TEST(AdaptiveFleetTest, NonAdaptiveFleetIgnoresPlan) {
-  AgentAssignmentPlan plan;
-  plan.assignments.push_back({"hot", AgentKind::kTotalOrder, "shared-hot"});
-  AgentConfig config = AdaptiveConfig(2, 2);
-  config.adaptive_agents = false;
-  std::atomic<bool> abort{false};
-  AgentControl control;
-  control.abort_flag = &abort;
-  AgentFleet fleet(AgentKind::kWallOfClocks, config, control, &plan);
-  EXPECT_FALSE(fleet.adaptive());
-  EXPECT_EQ(fleet.BoundVariables(), 0u);
-  EXPECT_EQ(fleet.RouteOf("hot"), AgentKind::kWallOfClocks);
-  EXPECT_FALSE(fleet.ForceMigrate("hot", AgentKind::kTotalOrder));
 }
 
 // A kNull route must skip record/replay entirely (the payoff of the
@@ -285,16 +268,17 @@ struct MigrationRunResult {
   std::vector<std::vector<uint32_t>> logs;
   uint64_t migrations_completed = 0;
   uint64_t migrations_aborted = 0;
-  bool migrate_returned = false;
+  // ForceMigrate's return value, one per requested migration.
+  std::vector<bool> migrate_returned;
   bool ok = true;
 };
 
-// Two variants x two threads hammer one bound SpinLock; optionally the main
-// thread force-promotes its route mid-run. The per-variant acquisition logs
-// are the "variant output": replay equivalence = identical logs.
-MigrationRunResult RunBoundLockHarness(bool adaptive, bool force_migrate, int ops) {
+// Two variants x two threads hammer one bound SpinLock (seeded on
+// wall-of-clocks); the main thread force-migrates its route to each kind in
+// `migrate_to` in turn, mid-run. The per-variant acquisition logs are the
+// "variant output": replay equivalence = identical logs.
+MigrationRunResult RunBoundLockHarness(const std::vector<AgentKind>& migrate_to, int ops) {
   AgentConfig config = AdaptiveConfig(2, 2);
-  config.adaptive_agents = adaptive;
   config.migrate_timeout = std::chrono::milliseconds(10000);
   AgentAssignmentPlan plan;
   plan.assignments.push_back({"hot", AgentKind::kWallOfClocks, "seeded"});
@@ -314,6 +298,9 @@ MigrationRunResult RunBoundLockHarness(bool adaptive, bool force_migrate, int op
 
   std::atomic<uint32_t> ready{0};
   std::atomic<bool> go{false};
+  // Critical sections the master variant has completed so far: paces the
+  // migrations so each one lands while the workers are still running.
+  std::atomic<int> master_progress{0};
   std::vector<std::thread> workers;
   for (uint32_t v = 0; v < 2; ++v) {
     for (uint32_t t = 0; t < 2; ++t) {
@@ -332,6 +319,9 @@ MigrationRunResult RunBoundLockHarness(bool adaptive, bool force_migrate, int op
             locks[v]->Lock();
             result.logs[v].push_back(t);
             locks[v]->Unlock();
+            if (v == 0) {
+              master_progress.fetch_add(1, std::memory_order_relaxed);
+            }
           }
         } catch (const VariantKilled&) {
           result.ok = false;
@@ -343,9 +333,13 @@ MigrationRunResult RunBoundLockHarness(bool adaptive, bool force_migrate, int op
     std::this_thread::yield();
   }
   go.store(true, std::memory_order_release);
-  if (force_migrate) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    result.migrate_returned = fleet.ForceMigrate("hot", AgentKind::kTotalOrder);
+  for (size_t m = 0; m < migrate_to.size(); ++m) {
+    // Spread the migrations over the first half of the master's run.
+    const int due = static_cast<int>((m + 1) * ops / (migrate_to.size() + 1));
+    while (master_progress.load(std::memory_order_relaxed) < due) {
+      std::this_thread::yield();
+    }
+    result.migrate_returned.push_back(fleet.ForceMigrate("hot", migrate_to[m]));
   }
   for (auto& worker : workers) {
     worker.join();
@@ -357,22 +351,38 @@ MigrationRunResult RunBoundLockHarness(bool adaptive, bool force_migrate, int op
 
 TEST(AdaptiveMigrationTest, ForcedPromotionUnderLoadKeepsVariantsEquivalent) {
   const int ops = 20000;
-  const MigrationRunResult migrated = RunBoundLockHarness(true, /*force_migrate=*/true, ops);
+  const MigrationRunResult migrated = RunBoundLockHarness({AgentKind::kTotalOrder}, ops);
   ASSERT_TRUE(migrated.ok);
-  EXPECT_TRUE(migrated.migrate_returned);
+  EXPECT_EQ(migrated.migrate_returned, std::vector<bool>{true});
   EXPECT_GE(migrated.migrations_completed, 1u);
   EXPECT_EQ(migrated.migrations_aborted, 0u);
   ASSERT_EQ(migrated.logs[0].size(), static_cast<size_t>(2 * ops));
   // Byte-identical variant output across the mid-run flip.
   EXPECT_EQ(migrated.logs[0], migrated.logs[1]);
 
-  // The static-only control run: same program, no migration machinery in the
-  // way — equally equivalent, with the same op volume.
-  const MigrationRunResult baseline = RunBoundLockHarness(false, /*force_migrate=*/false, ops);
+  // The static-only control run: same program, no migration — equally
+  // equivalent, with the same op volume.
+  const MigrationRunResult baseline = RunBoundLockHarness({}, ops);
   ASSERT_TRUE(baseline.ok);
   EXPECT_EQ(baseline.migrations_completed, 0u);
   ASSERT_EQ(baseline.logs[0].size(), static_cast<size_t>(2 * ops));
   EXPECT_EQ(baseline.logs[0], baseline.logs[1]);
+}
+
+// A round trip through both maps of the one clock engine: the route leaves
+// the hashed wall for the private-clock table and comes back, under load.
+// The two kinds are separate runtimes (separate clocks, rings and slave
+// clock copies), so each flip hands the variable to a fresh clock stream.
+TEST(AdaptiveMigrationTest, WallToPerVariableAndBackUnderLoadKeepsVariantsEquivalent) {
+  const int ops = 20000;
+  const MigrationRunResult migrated = RunBoundLockHarness(
+      {AgentKind::kPerVariableOrder, AgentKind::kWallOfClocks}, ops);
+  ASSERT_TRUE(migrated.ok);
+  EXPECT_EQ(migrated.migrate_returned, (std::vector<bool>{true, true}));
+  EXPECT_EQ(migrated.migrations_completed, 2u);
+  EXPECT_EQ(migrated.migrations_aborted, 0u);
+  ASSERT_EQ(migrated.logs[0].size(), static_cast<size_t>(2 * ops));
+  EXPECT_EQ(migrated.logs[0], migrated.logs[1]);
 }
 
 // Drives `ops` sync ops per thread through `fleet`'s master and slave on a
@@ -605,32 +615,40 @@ struct MveeSweepResult {
   bool ok = false;
 };
 
-MveeSweepResult RunAdaptiveSweep(bool adaptive) {
+// `seeded`: the plan routes the three variables and the program binds them;
+// otherwise there is no plan and the program binds nothing, so every sync op
+// rides the default (wall-of-clocks) route.
+MveeSweepResult RunAdaptiveSweep(bool seeded) {
   MveeOptions options;
   options.num_variants = 2;
   options.agent = AgentKind::kWallOfClocks;
   options.enable_aslr = false;
   options.rendezvous_timeout = std::chrono::milliseconds(20000);
   options.agent_config.replay_deadline = std::chrono::milliseconds(20000);
-  options.agent_config.adaptive_agents = adaptive;
   options.agent_config.migrate_interval_ms = 0;  // Static seeding only.
-  options.agent_plan.assignments = {
-      {"hot", AgentKind::kTotalOrder, "shared-hot"},
-      {"cold", AgentKind::kPerVariableOrder, "uncontended-shared"},
-      {"scratch", AgentKind::kNull, "thread-local"},
-  };
+  if (seeded) {
+    options.agent_plan.assignments = {
+        {"hot", AgentKind::kTotalOrder, "shared-hot"},
+        {"cold", AgentKind::kPerVariableOrder, "uncontended-shared"},
+        {"scratch", AgentKind::kNull, "thread-local"},
+    };
+  }
   Mvee mvee(options);
-  const Status status = mvee.Run([](VariantEnv& env) {
+  const Status status = mvee.Run([seeded](VariantEnv& env) {
     auto hot = std::make_shared<Mutex>();
     auto hot_count = std::make_shared<int>(0);
     auto cold = std::make_shared<InstrumentedAtomic<int32_t>>();
     auto scratch_totals = std::make_shared<std::array<int32_t, 2>>();
-    hot->Bind("hot");
-    cold->Bind("cold");
-    auto worker = [hot, hot_count, cold, scratch_totals](int which) {
-      return [hot, hot_count, cold, scratch_totals, which](VariantEnv&) {
+    if (seeded) {
+      hot->Bind("hot");
+      cold->Bind("cold");
+    }
+    auto worker = [hot, hot_count, cold, scratch_totals, seeded](int which) {
+      return [hot, hot_count, cold, scratch_totals, seeded, which](VariantEnv&) {
         InstrumentedAtomic<int32_t> scratch;
-        scratch.Bind("scratch");
+        if (seeded) {
+          scratch.Bind("scratch");
+        }
         for (int i = 0; i < 200; ++i) {
           scratch.FetchAdd(1);
           if (i % 4 == which) {
@@ -654,7 +672,7 @@ MveeSweepResult RunAdaptiveSweep(bool adaptive) {
   });
   MveeSweepResult result;
   result.ok = status.ok();
-  EXPECT_TRUE(status.ok()) << "adaptive=" << adaptive << ": " << status.ToString();
+  EXPECT_TRUE(status.ok()) << "seeded=" << seeded << ": " << status.ToString();
   result.bound_variables = mvee.report().adaptive_bound_variables;
   result.migrations = mvee.report().agent_migrations;
   result.migrations_aborted = mvee.report().agent_migrations_aborted;
@@ -665,18 +683,18 @@ MveeSweepResult RunAdaptiveSweep(bool adaptive) {
   return result;
 }
 
-TEST(AdaptiveMveeTest, ToggleSweepProducesIdenticalOutput) {
-  const MveeSweepResult on = RunAdaptiveSweep(true);
-  const MveeSweepResult off = RunAdaptiveSweep(false);
-  ASSERT_TRUE(on.ok);
-  ASSERT_TRUE(off.ok);
-  EXPECT_FALSE(on.output.empty());
-  EXPECT_EQ(on.output, off.output);
-  EXPECT_EQ(on.output, "400,100,200,200");
-  EXPECT_EQ(on.bound_variables, 3u);
-  EXPECT_EQ(on.migrations, 0u);
-  EXPECT_EQ(on.migrations_aborted, 0u);
-  EXPECT_EQ(off.bound_variables, 0u);
+TEST(AdaptiveMveeTest, PlanSeededAndUnseededRunsProduceIdenticalOutput) {
+  const MveeSweepResult seeded = RunAdaptiveSweep(true);
+  const MveeSweepResult unseeded = RunAdaptiveSweep(false);
+  ASSERT_TRUE(seeded.ok);
+  ASSERT_TRUE(unseeded.ok);
+  EXPECT_EQ(seeded.output, "400,100,200,200");
+  EXPECT_EQ(unseeded.output, seeded.output);
+  EXPECT_EQ(seeded.bound_variables, 3u);
+  EXPECT_EQ(seeded.migrations, 0u);
+  EXPECT_EQ(seeded.migrations_aborted, 0u);
+  EXPECT_EQ(unseeded.bound_variables, 0u);
+  EXPECT_EQ(unseeded.migrations, 0u);
 }
 
 // Controller-driven promotion during a full MVEE run surfaces in the report
@@ -689,7 +707,6 @@ TEST(AdaptiveMveeTest, ControllerMigrationSurfacesInReport) {
     options.enable_aslr = false;
     options.rendezvous_timeout = std::chrono::milliseconds(30000);
     options.agent_config.replay_deadline = std::chrono::milliseconds(30000);
-    options.agent_config.adaptive_agents = true;
     options.agent_config.migrate_interval_ms = 5;
     options.agent_config.migrate_min_ops = 32;
     options.agent_plan.assignments = {{"promo", AgentKind::kPerVariableOrder, "misseeded"}};

@@ -263,7 +263,7 @@ TEST(WallOfClocksTest, AdjacentWordsShareAClock) {
   std::atomic<bool> abort{false};
   AgentControl control;
   control.abort_flag = &abort;
-  WallOfClocksRuntime runtime(config, control);
+  ClockRuntime runtime(AgentKind::kWallOfClocks, config, control);
   alignas(8) int32_t words[2] = {0, 0};
   EXPECT_EQ(runtime.ClockOf(&words[0]), runtime.ClockOf(&words[1]));
 }
@@ -274,8 +274,8 @@ TEST(WallOfClocksTest, ClockAssignmentIsDeterministic) {
   std::atomic<bool> abort{false};
   AgentControl control;
   control.abort_flag = &abort;
-  WallOfClocksRuntime runtime_a(config, control);
-  WallOfClocksRuntime runtime_b(config, control);
+  ClockRuntime runtime_a(AgentKind::kWallOfClocks, config, control);
+  ClockRuntime runtime_b(AgentKind::kWallOfClocks, config, control);
   int x = 0;
   EXPECT_EQ(runtime_a.ClockOf(&x), runtime_b.ClockOf(&x));
 }
@@ -672,7 +672,7 @@ TEST(PerVariableTableTest, DistinctVariablesGetDistinctClocks) {
   std::atomic<bool> abort{false};
   AgentControl control;
   control.abort_flag = &abort;
-  PerVariableRuntime runtime(config, control);
+  ClockRuntime runtime(AgentKind::kPerVariableOrder, config, control);
 
   std::vector<int64_t> variables(500);
   std::set<uint32_t> clocks;
@@ -692,7 +692,7 @@ TEST(PerVariableTableTest, SameVariableAlwaysSameClock) {
   std::atomic<bool> abort{false};
   AgentControl control;
   control.abort_flag = &abort;
-  PerVariableRuntime runtime(config, control);
+  ClockRuntime runtime(AgentKind::kPerVariableOrder, config, control);
 
   int64_t variable = 0;
   const uint32_t first = runtime.ClockOf(&variable);
@@ -708,7 +708,7 @@ TEST(PerVariableTableTest, AdjacentWordsShareAnEightByteBucket) {
   std::atomic<bool> abort{false};
   AgentControl control;
   control.abort_flag = &abort;
-  PerVariableRuntime runtime(config, control);
+  ClockRuntime runtime(AgentKind::kPerVariableOrder, config, control);
 
   // Two 32-bit variables in one 64-bit line map to one clock — the paper's
   // deliberate CMPXCHG8B bucketing (§4.5) is preserved in the PVO table.
@@ -724,18 +724,18 @@ TEST(PerVariableTableTest, SaturatedTableDegradesToSharedClocks) {
   std::atomic<bool> abort{false};
   AgentControl control;
   control.abort_flag = &abort;
-  PerVariableRuntime runtime(config, control);
-  ASSERT_EQ(runtime.table_capacity(), 8u);
+  ClockRuntime runtime(AgentKind::kPerVariableOrder, config, control);
+  ASSERT_EQ(runtime.clock_count(), 8u);
 
   std::vector<int64_t> variables(64);
   for (const auto& v : variables) {
     const uint32_t clock = runtime.ClockOf(&v);
-    EXPECT_LT(clock, runtime.table_capacity());
+    EXPECT_LT(clock, runtime.clock_count());
   }
   // More variables than slots: the table must have overflowed, and the
   // fallback keeps returning valid (shared) clock ids rather than failing.
   EXPECT_GT(runtime.TableOverflows(), 0u);
-  EXPECT_LE(runtime.VariablesMapped(), runtime.table_capacity());
+  EXPECT_LE(runtime.VariablesMapped(), runtime.clock_count());
 }
 
 TEST(PerVariableTableTest, OverflowCountsVariablesNotLookups) {
@@ -745,7 +745,7 @@ TEST(PerVariableTableTest, OverflowCountsVariablesNotLookups) {
   std::atomic<bool> abort{false};
   AgentControl control;
   control.abort_flag = &abort;
-  PerVariableRuntime runtime(config, control);
+  ClockRuntime runtime(AgentKind::kPerVariableOrder, config, control);
 
   // Fill the table, then find one address that overflows.
   std::vector<int64_t> variables(64);
@@ -772,16 +772,16 @@ TEST(PerVariableTableTest, OverflowCountsVariablesNotLookups) {
 
 TEST(PerVariableTableTest, HugeClockCountClampsInsteadOfOverflowing) {
   // Small sizes behave as before: next power of two >= 8x clocks.
-  EXPECT_EQ(PerVariableRuntime::TableCapacityFor(1), 8u);
-  EXPECT_EQ(PerVariableRuntime::TableCapacityFor(1024), 8192u);
-  EXPECT_EQ(PerVariableRuntime::TableCapacityFor(1000), 8192u);
+  EXPECT_EQ(PrivateClockTable::CapacityFor(1), 8u);
+  EXPECT_EQ(PrivateClockTable::CapacityFor(1024), 8192u);
+  EXPECT_EQ(PrivateClockTable::CapacityFor(1000), 8192u);
   // clock_count * 8 would wrap size_t here; the capacity must clamp to the
   // max table size (a power of two), not wrap to a tiny table with an
   // all-wrong mask (and NextPow2 must not loop forever on it).
-  const size_t huge = PerVariableRuntime::TableCapacityFor(SIZE_MAX / 2);
+  const size_t huge = PrivateClockTable::CapacityFor(SIZE_MAX / 2);
   ASSERT_GT(huge, 0u);
   EXPECT_EQ(huge & (huge - 1), 0u);
-  EXPECT_EQ(huge, PerVariableRuntime::TableCapacityFor(SIZE_MAX));
+  EXPECT_EQ(huge, PrivateClockTable::CapacityFor(SIZE_MAX));
   EXPECT_LE(huge, size_t{1} << 28);
 }
 
@@ -927,7 +927,7 @@ TEST(PerVariableTableTest, ConcurrentInsertsAgreeOnMapping) {
   std::atomic<bool> abort{false};
   AgentControl control;
   control.abort_flag = &abort;
-  PerVariableRuntime runtime(config, control);
+  ClockRuntime runtime(AgentKind::kPerVariableOrder, config, control);
 
   constexpr size_t kVars = 256;
   std::vector<int64_t> variables(kVars);

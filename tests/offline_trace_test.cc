@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "mvee/agents/clock_agent.h"
 #include "mvee/agents/offline_trace.h"
 #include "mvee/sync/primitives.h"
 #include "mvee/util/rng.h"
@@ -55,6 +56,32 @@ TEST(OfflineTraceTest, RecordThenReplayReproducesSchedule) {
   const auto replayed_logs = RunScheduledProgram(&replayer, 4, 6, 120);
   EXPECT_EQ(recorded_logs, replayed_logs);
   EXPECT_EQ(replayer.EventsReplayed(), trace->TotalEvents());
+}
+
+// The offline trace and the online wall-of-clocks engine share one
+// address->clock map, so a trace's clock ids name the same clocks the online
+// master would have locked for the same addresses at the same wall size.
+TEST(OfflineTraceTest, ClockIdsMatchOnlineWallOfClocks) {
+  constexpr size_t kClocks = 97;  // Not a power of two: the fold is a modulo.
+  AgentConfig config;
+  config.num_variants = 2;
+  config.max_threads = 1;
+  config.clock_count = kClocks;
+  AgentControl control;
+  ClockRuntime online(AgentKind::kWallOfClocks, config, control);
+  OfflineRecorderAgent recorder(/*max_threads=*/1, kClocks);
+
+  std::vector<int64_t> variables(512);
+  for (const auto& v : variables) {
+    recorder.BeforeSyncOp(0, &v);
+    recorder.AfterSyncOp(0, &v);
+  }
+  const auto trace = recorder.TakeTrace();
+  const auto& events = trace->ThreadEvents(0);
+  ASSERT_EQ(events.size(), variables.size());
+  for (size_t i = 0; i < variables.size(); ++i) {
+    EXPECT_EQ(events[i].clock_id, online.ClockOf(&variables[i])) << "variable " << i;
+  }
 }
 
 TEST(OfflineTraceTest, SerializationRoundTrip) {

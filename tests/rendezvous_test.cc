@@ -30,9 +30,20 @@
 
 namespace {
 std::atomic<uint64_t> g_heap_allocs{0};
+// Allocations by threads that never set t_foreground: the MVEE's own
+// background threads (the blocked-call watchdog, the agent controller).
+std::atomic<uint64_t> g_background_allocs{0};
+thread_local bool t_foreground = false;
+
+void CountAlloc() {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (!t_foreground) {
+    g_background_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+}
 
 void* CountedAlloc(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  CountAlloc();
   if (void* ptr = std::malloc(size == 0 ? 1 : size)) {
     return ptr;
   }
@@ -40,7 +51,7 @@ void* CountedAlloc(std::size_t size) {
 }
 
 void* CountedAlignedAlloc(std::size_t size, std::size_t align) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  CountAlloc();
   void* ptr = nullptr;
   if (posix_memalign(&ptr, align < sizeof(void*) ? sizeof(void*) : align,
                      size == 0 ? 1 : size) != 0) {
@@ -477,6 +488,48 @@ TEST(RendezvousAllocationTest, LooseHotPathIsAllocationFree) {
 }
 
 // --- ParkingSpot ------------------------------------------------------------------
+
+// The blocked-call watchdog sweeps every blocked_call_timeout / 8 while
+// variant threads move in and out of calls; once every thread has been seen
+// in a call, its sweeps must not allocate. The program alternates a trapped
+// nanosleep (in a call) with a native sleep (between calls), so consecutive
+// sweeps see both states; loop bounds come from the replicated clock, so
+// both variants run the same calls. Only the MVEE's background threads are
+// counted: the variant and test threads mark themselves foreground.
+TEST(RendezvousAllocationTest, WatchdogSweepsAreAllocationFree) {
+  t_foreground = true;
+  MveeOptions options = Opts();
+  options.blocked_call_timeout = std::chrono::milliseconds(80);  // 10 ms sweeps
+  const int64_t tick_ns = 10'000'000;
+  Mvee mvee(options);
+  std::atomic<uint64_t> allocations{0};
+  std::atomic<int64_t> window_ns{0};
+  const Status status = mvee.Run([&](VariantEnv& env) {
+    t_foreground = true;
+    auto cycle_until = [&env, tick_ns](int64_t end_ns) {
+      int64_t now = env.ClockGettimeNanos();
+      while (now < end_ns) {
+        env.NanosleepNanos(tick_ns / 2);
+        std::this_thread::sleep_for(std::chrono::nanoseconds(tick_ns / 2));
+        now = env.ClockGettimeNanos();
+      }
+      return now;
+    };
+    // Warm-up: enough sweeps to have seen this thread in a call.
+    const int64_t warm_end = cycle_until(env.ClockGettimeNanos() + 10 * tick_ns);
+    const uint64_t before = g_background_allocs.load(std::memory_order_relaxed);
+    const int64_t window_end = cycle_until(warm_end + 20 * tick_ns);
+    const uint64_t after = g_background_allocs.load(std::memory_order_relaxed);
+    if (env.MveeSelfAware() == 0) {
+      allocations.store(after - before);
+      window_ns.store(window_end - warm_end);
+    }
+  });
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_GE(window_ns.load(), 20 * tick_ns);
+  EXPECT_EQ(mvee.report().watchdog_dumps, 0u);
+  EXPECT_EQ(allocations.load(), 0u) << "the watchdog allocated in steady state";
+}
 
 TEST(ParkingSpotTest, WakeLiftsParkedWaiterPromptly) {
   ParkingSpot spot;
